@@ -98,39 +98,26 @@ class FaithfulNestConditions:
 
 def check_faithful_nest_conditions(g: DirectedGraph) -> FaithfulNestConditions:
     cond = condensation(g)
-    m = len(cond.components)
+    reach = cond.reach
+    topo = cond.topological_order
 
-    c1 = all(
-        cond.component_reaches(i, j) or cond.component_reaches(j, i)
-        for i in range(m)
-        for j in range(i + 1, m)
-    )
+    # Reachability is transitive and respects the topological order, so it
+    # is total exactly when each component reaches the next one in that order.
+    c1 = all(reach[a] >> b & 1 for a, b in zip(topo, topo[1:]))
     c2 = all(
         comp.component_class is not ComponentClass.CYCLE for comp in cond.components
     )
 
-    trivial = [c for c in cond.components if c.is_trivial]
-    if not trivial:
+    order = [i for i in topo if cond.components[i].is_trivial]
+    if not order:
         return FaithfulNestConditions(c1, c2, True, c3_vacuous=True)
 
-    ok = True
-    idxs = [c.index for c in trivial]
-    # In a genuine total order the i-th member reaches exactly the members
-    # after it; sorting by out-reach count descending linearizes, and the
-    # consecutive checks below fail whenever the order was not total.
-    order = sorted(
-        idxs,
-        key=lambda i: sum(1 for j in idxs if cond.component_reaches(i, j)),
-        reverse=True,
-    )
-    for a, b in zip(order, order[1:]):
-        if not cond.component_reaches(a, b):
-            ok = False
-            break
+    # The trivial components are totally ordered exactly when each reaches
+    # the next in topological order; that order is then their chain order.
+    ok = all(reach[a] >> b & 1 for a, b in zip(order, order[1:]))
 
     if ok:
-        vertex_of = {c.index: c.vertices[0] for c in trivial}
-        chain = [vertex_of[i] for i in order]
+        chain = [cond.components[i].vertices[0] for i in order]
         chain_set = set(chain)
         expected = list(zip(chain, chain[1:]))
         seen: list[tuple[str, str]] = []
@@ -140,14 +127,14 @@ def check_faithful_nest_conditions(g: DirectedGraph) -> FaithfulNestConditions:
         ok = sorted(seen) == sorted(expected)
 
     if ok:
-        for comp in cond.components:
-            if comp.is_trivial:
-                continue
-            before = any(cond.component_reaches(t, comp.index) for t in idxs)
-            after = any(cond.component_reaches(comp.index, t) for t in idxs)
-            if before and after:
-                ok = False
-                break
+        # Along the chain, some trivial component reaches c iff the head
+        # does, and c reaches some trivial component iff it reaches the tail.
+        head, tail = order[0], order[-1]
+        ok = not any(
+            reach[head] >> comp.index & 1 and reach[comp.index] >> tail & 1
+            for comp in cond.components
+            if not comp.is_trivial
+        )
 
     return FaithfulNestConditions(c1, c2, ok, c3_vacuous=False)
 

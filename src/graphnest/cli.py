@@ -9,7 +9,8 @@ rep        build a representation (phi | rho | psi | fock | nnest) and
 recover    recover one path coefficient of an element through a family
 radical    radical generators, plus membership for an optional element
 
-Exit codes: 0 success; 2 unreadable input (parse errors, bad paths, limits);
+Exit codes: 0 success; 2 unreadable input (parse errors, bad paths) or a size
+cap exceeded (LimitError, including the path-length cap of recovery);
 3 file-system errors; 4 empty input (zero element, empty graph); 5 a
 construction's mathematical precondition fails.
 
@@ -69,13 +70,12 @@ class CliConfig:
     """Run-wide knobs shared by every command."""
 
     tolerances: ToleranceConfig
-    max_len: int = 12
     max_basis: int = 20_000
     json_output: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_len < 1 or self.max_basis < 1:
+        if self.max_basis < 1:
             raise ValueError("limits must be positive")
 
 
@@ -84,9 +84,7 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
         tolerances=ToleranceConfig(
             rank_tol=args.rank_tol,
             norm_tol=args.norm_tol,
-            recovery_tol=args.recovery_tol,
         ),
-        max_len=args.max_len,
         max_basis=args.max_basis,
         json_output=args.json,
         seed=args.seed,
@@ -390,11 +388,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument("--seed", type=int, default=0, help="seed for seeded constructions")
-    common.add_argument("--max-len", type=int, default=12, help="path-length enumeration cap")
     common.add_argument("--max-basis", type=int, default=20_000, help="basis size cap")
     common.add_argument("--rank-tol", type=float, default=1e-9, help="rank decision tolerance")
     common.add_argument("--norm-tol", type=float, default=1e-9, help="relation-check tolerance")
-    common.add_argument("--recovery-tol", type=float, default=1e-8, help="recovery comparison tolerance")
 
     parser = argparse.ArgumentParser(
         prog="graphnest",

@@ -19,7 +19,8 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     GraphParseError,
@@ -124,20 +125,26 @@ class Condensation:
 
     ``components`` are ordered by first-declared member vertex.
     ``quotient_edges`` are the original edges whose endpoints lie in distinct
-    components, in declaration order.
+    components, in declaration order.  ``topological_order`` lists component
+    indices so that every quotient edge points forward.  ``reach[i]`` is a
+    bitmask whose bit ``j`` is set when component ``i`` reaches component
+    ``j`` along a nonempty quotient path.
     """
 
     components: tuple[Component, ...]
-    vertex_component: dict[str, int] = field(compare=False)
+    vertex_component: Mapping[str, int] = field(compare=False)
     quotient_edges: tuple[Edge, ...] = ()
-    _reach: frozenset[tuple[int, int]] = field(default=frozenset(), repr=False, compare=False)
+    topological_order: tuple[int, ...] = field(default=(), repr=False, compare=False)
+    reach: tuple[int, ...] = field(default=(), repr=False, compare=False)
 
     def component_of(self, vertex: str) -> Component:
         return self.components[self.vertex_component[vertex]]
 
     def component_reaches(self, i: int, j: int) -> bool:
-        """Reflexive reachability between component indices in the quotient."""
-        return i == j or (i, j) in self._reach
+        """Reflexive reachability between component indices in the quotient;
+        no component reaches an index outside ``range(len(components))``."""
+        inside = 0 <= i < len(self.reach) and j >= 0
+        return i == j or (inside and bool(self.reach[i] >> j & 1))
 
     @property
     def crossing_edge_names(self) -> tuple[str, ...]:
@@ -159,26 +166,20 @@ class PathDecomposition:
     segments: tuple[Path, ...]
     crossing: tuple[str, ...]
 
-    def recompose(self, g: "DirectedGraph") -> Path:
-        """Concatenate the decomposition back into the original path."""
-        out = self.segments[0]
-        for i, edge_name in enumerate(self.crossing):
-            out = compose(g.edge_path(edge_name), out)
-            out = compose(self.segments[i + 1], out)
-        return out
-
 
 class DirectedGraph:
     """A finite directed multigraph with ordered, uniquely named parts.
 
     Vertex and edge declaration order is significant: it fixes basis orders,
     enumeration orders and tie-breaks throughout the package.  Instances are
-    immutable after construction.
+    immutable after construction, which lets ``condensation`` compute its
+    result once per instance.
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]):
         self.vertices: tuple[str, ...] = tuple(vertices)
         self.edges: tuple[Edge, ...] = tuple(Edge(n, s, t) for (n, s, t) in edges)
+        self._condensation: Condensation | None = None
 
         self._vertex_index: dict[str, int] = {}
         for i, v in enumerate(self.vertices):
@@ -281,11 +282,6 @@ class DirectedGraph:
                     f"{a.name!r} ends at {a.target!r} but {b.name!r} starts at {b.source!r}"
                 )
         return Path(walked[0].source, walked[-1].target, tuple(reversed(edge_names)))
-
-    def path_from_composition(self, edge_names: Sequence[str]) -> Path:
-        """Build a path from edge names in product order (first name = last
-        edge traversed)."""
-        return self.path_from_traversal(tuple(reversed(tuple(edge_names))))
 
     def validate_path(self, p: Path) -> Path:
         """Check a path against this graph; returns it unchanged."""
@@ -463,17 +459,21 @@ def condensation(g: DirectedGraph) -> Condensation:
 
     Components are ordered by their first-declared vertex; the classification
     per component is Trivial (one vertex, no loop), Cycle (a single directed
-    cycle), or StronglyTransitive (everything else).
+    cycle), or StronglyTransitive (everything else).  Computed once per
+    graph, in time linear in its size plus one bitmask OR per quotient edge.
     """
+    if g._condensation is not None:
+        return g._condensation
     n = len(g.vertices)
-    index_of: dict[str, int] = {v: i for i, v in enumerate(g.vertices)}
+    succ_of = [[g._vertex_index[e.target] for e in g._out[v]] for v in g.vertices]
     order = [0] * n          # discovery index, 0 = unvisited (we offset by 1)
     low = [0] * n
     on_stack = [False] * n
     stack: list[int] = []
-    comp_id = [-1] * n
     counter = 1
-    raw_components: list[list[int]] = []
+    # Tarjan emits each component after every component it reaches, so
+    # ``emitted`` is in reverse topological order.
+    emitted: list[list[int]] = []
 
     # Tarjan, iterative.  Work items are (vertex, iterator over successors).
     for root in range(n):
@@ -484,7 +484,7 @@ def condensation(g: DirectedGraph) -> Condensation:
         counter += 1
         stack.append(root)
         on_stack[root] = True
-        work.append((root, iter([index_of[e.target] for e in g.out_edges(g.vertices[root])])))
+        work.append((root, iter(succ_of[root])))
         while work:
             v, it = work[-1]
             advanced = False
@@ -494,7 +494,7 @@ def condensation(g: DirectedGraph) -> Condensation:
                     counter += 1
                     stack.append(w)
                     on_stack[w] = True
-                    work.append((w, iter([index_of[e.target] for e in g.out_edges(g.vertices[w])])))
+                    work.append((w, iter(succ_of[w])))
                     advanced = True
                     break
                 if on_stack[w]:
@@ -513,20 +513,19 @@ def condensation(g: DirectedGraph) -> Condensation:
                     members.append(w)
                     if w == v:
                         break
-                raw_components.append(members)
+                emitted.append(members)
 
     # Deterministic order: by smallest declaration index of a member vertex.
-    raw_components.sort(key=min)
+    by_first = sorted(range(len(emitted)), key=lambda k: min(emitted[k]))
+    comp_of_emitted = [0] * len(emitted)
     vertex_component: dict[str, int] = {}
-    for ci, members in enumerate(raw_components):
-        for vi in members:
-            comp_id[vi] = ci
+    for ci, k in enumerate(by_first):
+        comp_of_emitted[k] = ci
+        for vi in emitted[k]:
             vertex_component[g.vertices[vi]] = ci
 
-    member_names = [
-        tuple(g.vertices[vi] for vi in sorted(members)) for members in raw_components
-    ]
-    internal: list[list[str]] = [[] for _ in raw_components]
+    internal: list[list[str]] = [[] for _ in emitted]
+    succ: list[set[int]] = [set() for _ in emitted]
     crossing: list[Edge] = []
     for e in g.edges:
         cs = vertex_component[e.source]
@@ -535,51 +534,39 @@ def condensation(g: DirectedGraph) -> Condensation:
             internal[cs].append(e.name)
         else:
             crossing.append(e)
+            succ[cs].add(ct)
 
     components = []
-    for ci, verts in enumerate(member_names):
+    for ci, k in enumerate(by_first):
+        verts = tuple(g.vertices[vi] for vi in sorted(emitted[k]))
         internal_edges = tuple(internal[ci])
+        # In a nontrivial component every vertex has an internal in- and
+        # out-edge, so it is a single cycle exactly when it has no others.
         if len(verts) == 1 and not internal_edges:
             cls = ComponentClass.TRIVIAL
+        elif len(internal_edges) == len(verts):
+            cls = ComponentClass.CYCLE
         else:
-            out_deg = {v: 0 for v in verts}
-            in_deg = {v: 0 for v in verts}
-            for name in internal_edges:
-                e = g.edge(name)
-                out_deg[e.source] += 1
-                in_deg[e.target] += 1
-            if all(out_deg[v] == 1 and in_deg[v] == 1 for v in verts):
-                cls = ComponentClass.CYCLE
-            else:
-                cls = ComponentClass.STRONGLY_TRANSITIVE
+            cls = ComponentClass.STRONGLY_TRANSITIVE
         components.append(Component(ci, verts, internal_edges, cls))
 
-    # Transitive closure of the quotient DAG (small: one bitset per component).
-    m = len(components)
-    succ: list[set[int]] = [set() for _ in range(m)]
-    for e in crossing:
-        succ[vertex_component[e.source]].add(vertex_component[e.target])
-    reach: list[set[int]] = [set() for _ in range(m)]
-    # Process in reverse topological order obtained by repeated relaxation
-    # (m is small; a simple fixpoint is clear and fast enough).
-    changed = True
-    while changed:
-        changed = False
-        for i in range(m):
-            before = len(reach[i])
-            for j in succ[i]:
-                reach[i].add(j)
-                reach[i] |= reach[j]
-            if len(reach[i]) != before:
-                changed = True
-    pairs = frozenset((i, j) for i in range(m) for j in reach[i])
+    # Transitive closure of the quotient DAG, one bitmask per component.  In
+    # emission order every successor's mask is final before it is read.
+    reach = [0] * len(components)
+    for ci in comp_of_emitted:
+        mask = 0
+        for s in succ[ci]:
+            mask |= (1 << s) | reach[s]
+        reach[ci] = mask
 
-    return Condensation(
+    g._condensation = Condensation(
         components=tuple(components),
-        vertex_component=vertex_component,
+        vertex_component=MappingProxyType(vertex_component),
         quotient_edges=tuple(crossing),
-        _reach=pairs,
+        topological_order=tuple(reversed(comp_of_emitted)),
+        reach=tuple(reach),
     )
+    return g._condensation
 
 
 def is_transitive_in_components(g: DirectedGraph) -> bool:
@@ -592,19 +579,8 @@ def reaches(g: DirectedGraph, x: str, y: str) -> bool:
     """Reflexive reachability: is there a (possibly trivial) path x → y?"""
     g.vertex_index(x)
     g.vertex_index(y)
-    if x == y:
-        return True
-    seen = {x}
-    frontier = deque([x])
-    while frontier:
-        v = frontier.popleft()
-        for e in g.out_edges(v):
-            if e.target == y:
-                return True
-            if e.target not in seen:
-                seen.add(e.target)
-                frontier.append(e.target)
-    return False
+    cond = condensation(g)
+    return cond.component_reaches(cond.vertex_component[x], cond.vertex_component[y])
 
 
 # -- cycles --------------------------------------------------------------------

@@ -21,16 +21,14 @@ class ToleranceConfig:
     """Numerical thresholds used across the package.
 
     rank_tol drives rank decisions (relative to the largest singular value),
-    norm_tol bounds residuals treated as zero, recovery_tol is the accuracy
-    demanded of coefficient recovery.
+    norm_tol bounds residuals treated as zero.
     """
 
     rank_tol: float = 1e-9
     norm_tol: float = 1e-9
-    recovery_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("rank_tol", "norm_tol", "recovery_tol"):
+        for name in ("rank_tol", "norm_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -77,6 +75,10 @@ def _orthonormal_rows(stack: np.ndarray, rank_tol: float) -> np.ndarray:
     threshold.  Returns an (r, n) array; r may be zero."""
     if stack.size == 0:
         return stack.reshape(0, stack.shape[1] if stack.ndim == 2 else 0)
+    if stack.shape[0] > stack.shape[1]:
+        # A tall stack has the singular values and right singular vectors
+        # of its square triangular factor, which is cheaper to decompose.
+        stack = np.linalg.qr(stack, mode="r")
     _, s, vh = np.linalg.svd(stack, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return vh[:0]
@@ -89,9 +91,11 @@ def span_closure_dim(gens, dim: int, tol: ToleranceConfig = DEFAULT_TOLERANCES):
     matrices containing ``gens`` (the non-unital generated algebra), plus an
     orthonormal basis of it.
 
-    Iterates pairwise products of the running basis and re-ranks the
-    vectorized matrices until the rank stabilizes; capped at dimension k²
-    and k²+1 rounds, both of which only the full matrix algebra attains.
+    Semi-naive: each round multiplies only the basis directions that are
+    new since the last round by the whole basis, in both orders, and
+    re-ranks the vectorized matrices until the rank stabilizes; capped at
+    dimension k² and k²+1 rounds, both of which only the full matrix
+    algebra attains.
     """
     k = int(dim)
     if k <= 0:
@@ -107,20 +111,31 @@ def span_closure_dim(gens, dim: int, tol: ToleranceConfig = DEFAULT_TOLERANCES):
     basis_rows = _orthonormal_rows(
         np.array([m.reshape(-1) for m in mats]), tol.rank_tol
     )
-    r = basis_rows.shape[0]
+    # basis_rows is the orthonormal basis so far; its last `fresh` rows are
+    # the directions added by the previous round.
+    r = fresh = basis_rows.shape[0]
     full = k * k
     for _ in range(1 + full):
         if r == 0 or r == full:
             break
-        basis_mats = [row.reshape(k, k) for row in basis_rows]
-        prods = [a @ b for a in basis_mats for b in basis_mats]
-        stacked = np.vstack([basis_rows] + [p.reshape(1, -1) for p in prods])
-        new_rows = _orthonormal_rows(stacked, tol.rank_tol)
-        if new_rows.shape[0] == r:
-            basis_rows = new_rows
+        cube = basis_rows.reshape(r, k, k)
+        old, new = cube[: r - fresh], cube[r - fresh:]
+        stacked = np.vstack([
+            basis_rows,
+            (new[:, None] @ cube[None]).reshape(-1, full),
+            (old[:, None] @ new[None]).reshape(-1, full),
+        ])
+        grown = _orthonormal_rows(stacked, tol.rank_tol)
+        fresh = grown.shape[0] - r
+        if fresh <= 0:
             break
-        basis_rows = new_rows
-        r = new_rows.shape[0]
+        # The directions of the grown span outside the old one are the top
+        # right singular vectors of its residual against the old basis.
+        residual = grown - (grown @ basis_rows.conj().T) @ basis_rows
+        basis_rows = np.vstack(
+            [basis_rows, np.linalg.svd(residual, full_matrices=False)[2][:fresh]]
+        )
+        r = basis_rows.shape[0]
     return r, [row.reshape(k, k) for row in basis_rows]
 
 

@@ -8,7 +8,8 @@ weights on edge images.  Sampling that entry on a product grid of roots of
 unity that is fine enough to rule out aliasing therefore recovers any
 coefficient exactly (up to floating-point roundoff), and an argmax over the
 same grid produces a concrete witness that a nonzero element acts
-nontrivially.
+nontrivially.  Paths longer than ``MAX_PATH_LENGTH`` edges raise
+``LimitError``: their scale 2^-|w| is no longer a normal double.
 
 The radical helpers at the bottom answer membership combinatorially: an
 element lies in the radical exactly when none of its support paths can be
@@ -25,7 +26,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .elements import FormalElement, degree
-from .errors import EmptyInputError, PreconditionError
+from .errors import EmptyInputError, LimitError, PreconditionError
 from .graphs import (
     DirectedGraph,
     Path,
@@ -34,7 +35,6 @@ from .graphs import (
     condensation,
     is_transitive_in_components,
     primitive_root,
-    reaches,
 )
 from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, operator_norm
 from .reps import (
@@ -86,6 +86,18 @@ def _check_same_graph(g: DirectedGraph, a: FormalElement) -> None:
 def _check_oversample(oversample: int) -> None:
     if oversample < 1:
         raise ValueError("oversample must be at least 1")
+
+
+#: Longest path whose pairing scale 2^-|w| is still a normal double.
+MAX_PATH_LENGTH = 1022
+
+
+def _check_length(w: Path) -> None:
+    if w.length > MAX_PATH_LENGTH:
+        raise LimitError(
+            f"path length {w.length} exceeds the cap {MAX_PATH_LENGTH}: the "
+            f"pairing scale 2^-{w.length} is below the normal double range"
+        )
 
 
 def _vertex_block_rep(
@@ -154,6 +166,7 @@ def recover_irreducible(
     _check_same_graph(g, a)
     _check_oversample(oversample)
     g.validate_path(w)
+    _check_length(w)
     if w.is_vertex:
         rep = _vertex_block_rep(g, w.source, tol)
         return complex(evaluate(rep, a)[0, 0])
@@ -215,6 +228,7 @@ def recover_nest(
     _check_same_graph(g, a)
     _check_oversample(oversample)
     g.validate_path(w)
+    _check_length(w)
     if a.is_zero:
         return 0j
     plan = nest_plan(g, w)
@@ -304,6 +318,7 @@ def recover_upper(
     _check_same_graph(g, a)
     _check_oversample(oversample)
     g.validate_path(v)
+    _check_length(v)
     designated = designated_loops(g, loop_choice)
     skeleton, dwell = _strip_designated(g, v, designated)
     plan = upper_plan(g, skeleton, loop_choice)
@@ -422,6 +437,7 @@ def separate(
     if a.is_zero:
         raise EmptyInputError("the zero element has no separating witness")
     w = a.support[0]
+    _check_length(w)
 
     if family == "irreducible":
         if not is_transitive_in_components(g):
@@ -475,12 +491,15 @@ def separate(
 def is_in_radical(g: DirectedGraph, a: FormalElement) -> bool:
     """Whether every support path of ``a`` fails to close into a cycle.
 
-    A path closes into a cycle exactly when its end reaches its start
-    (vertex paths always do), so elements supported on any vertex or on any
-    cycle-completable path are excluded.  The zero element is a member.
+    A path closes into a cycle exactly when its end reaches its start; as
+    the path already runs from start to end, that is when both ends lie in
+    one strongly connected component (vertex paths always do).  So elements
+    supported on any vertex or on any cycle-completable path are excluded.
+    The zero element is a member.
     """
     _check_same_graph(g, a)
-    return all(not reaches(g, p.target, p.source) for p in a.support)
+    comp = condensation(g).vertex_component
+    return all(comp[p.source] != comp[p.target] for p in a.support)
 
 
 def radical_edge_generators(g: DirectedGraph) -> tuple[str, ...]:

@@ -122,3 +122,80 @@ def span_closure_dim_exact(gens):
         members.extend(fresh)
         frontier = fresh
     return len(echelon)
+
+
+# -- reachability ----------------------------------------------------------------
+
+
+def bfs_reachable(g, x):
+    """Every vertex reachable from ``x`` (``x`` included), by a plain
+    breadth-first search over out-edges."""
+    seen = {x}
+    frontier = [x]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for e in g.out_edges(v):
+                if e.target not in seen:
+                    seen.add(e.target)
+                    nxt.append(e.target)
+        frontier = nxt
+    return seen
+
+
+def reach_table(g):
+    """Reflexive reachability as ``{x: set of vertices x reaches}``."""
+    return {x: bfs_reachable(g, x) for x in g.vertices}
+
+
+def faithful_nest_by_pairs(g):
+    """``(quotient_totally_ordered, trivial_chain_interval)`` from their
+    definitions, over all vertex pairs of the reachability table.
+
+    Vertices in one strongly connected component are comparable with the
+    same vertices, so the quotient is totally ordered iff every pair of
+    vertices is comparable.  A vertex is trivial when it lies on no cycle.
+    Condition 3 asks that the trivial vertices be totally ordered, that the
+    edges among them be exactly one per consecutive pair of that order, and
+    that no vertex on a cycle be reached from a trivial vertex while
+    reaching one.
+    """
+    table = reach_table(g)
+
+    def comparable(x, y):
+        return y in table[x] or x in table[y]
+
+    total = all(comparable(x, y) for x in g.vertices for y in g.vertices)
+    on_cycle = {e.source for e in g.edges if e.source in table[e.target]}
+    trivial = [x for x in g.vertices if x not in on_cycle]
+    if not trivial:
+        return total, True
+    if not all(comparable(x, y) for x in trivial for y in trivial):
+        return total, False
+    chain = sorted(trivial, key=lambda x: -sum(1 for y in trivial if y in table[x]))
+    members = set(trivial)
+    induced = sorted((e.source, e.target) for e in g.edges
+                     if e.source in members and e.target in members)
+    if induced != sorted(zip(chain, chain[1:])):
+        return total, False
+    between = any(
+        any(c in table[t] for t in trivial) and any(t in table[c] for t in trivial)
+        for c in on_cycle
+    )
+    return total, not between
+
+
+def component_by_definition(g, table, x):
+    """The strongly connected component of ``x`` and its class name: the
+    vertices that ``x`` reaches and is reached from; "Trivial" for one
+    vertex without a loop, "Cycle" when each member has exactly one
+    internal out-edge and one internal in-edge, else "StronglyTransitive"."""
+    members = {y for y in table[x] if x in table[y]}
+    internal = [e for e in g.edges if e.source in members and e.target in members]
+    if len(members) == 1 and not internal:
+        return members, "Trivial"
+    single = all(
+        sum(e.source == v for e in internal) == 1 == sum(e.target == v for e in internal)
+        for v in members
+    )
+    return members, "Cycle" if single else "StronglyTransitive"

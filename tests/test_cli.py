@@ -161,6 +161,15 @@ def test_malformed_graph_exits_2(tmp_path):
     assert "line 2" in proc.stderr
 
 
+def test_path_past_the_length_cap_exits_2(tmp_path):
+    elem = tmp_path / "long.json"
+    elem.write_text(json.dumps({"terms": [{"coeff": [1.0, 0.0], "path": ["a"] * 1024}]}))
+    proc = run_cli("recover", P2, str(elem), ",".join(["a"] * 1024), "--family", "nest")
+    assert proc.returncode == 2
+    assert "exceeds the cap 1022" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_missing_file_exits_3():
     proc = run_cli("classify", str(FIXTURES / "no_such.graph"))
     assert proc.returncode == 3

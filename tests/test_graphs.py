@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import graphnest as gn
 from conftest import GRAPH_TEXTS, make_graph, random_graph, random_walk
+from exact_oracle import bfs_reachable
 
 
 # -- parsing and serialization ----------------------------------------------------
@@ -351,6 +352,8 @@ def test_condensation_quotient_structure():
     i_u = cond.component_of("u").index
     assert cond.component_reaches(i_v, i_u)
     assert not cond.component_reaches(i_u, i_v)
+    for outside in ((i_v, -1), (-1, i_v), (i_v, 4), (4, i_v)):
+        assert not cond.component_reaches(*outside)
 
 
 def test_condensation_quotient_acyclic_on_random_graphs():
@@ -369,7 +372,7 @@ def test_transitive_in_components_agrees_with_edge_check():
     rng = random.Random(13)
     for _ in range(60):
         g = random_graph(rng)
-        expected = all(gn.reaches(g, e.target, e.source) for e in g.edges)
+        expected = all(e.source in bfs_reachable(g, e.target) for e in g.edges)
         assert gn.is_transitive_in_components(g) == expected
 
 

@@ -7,6 +7,7 @@ import pytest
 
 import graphnest as gn
 from conftest import make_graph, random_nonzero_element
+from exact_oracle import bfs_reachable
 
 
 def coefficient_of(a, w):
@@ -123,6 +124,24 @@ def test_recovery_rejects_bad_oversample(p2):
         gn.recover_nest(p2, a, p2.vertex_path("v"), oversample=0)
 
 
+def test_longest_path_below_the_cap_recovers(p2):
+    # 2^-1022 is the smallest normal double
+    w = p2.path_from_traversal(["a"] * 1022)
+    a = gn.FormalElement.single(p2, w)
+    assert gn.recover_nest(p2, a, w) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_paths_past_the_cap_raise_limit_error(p2):
+    w = p2.path_from_traversal(["a"] * 1024)
+    a = gn.FormalElement.single(p2, w)
+    for recover in (gn.recover_irreducible, gn.recover_nest, gn.recover_upper):
+        with pytest.raises(gn.LimitError, match="1024.*1022"):
+            recover(p2, a, w)
+    for family in ("irreducible", "nest", "upper"):
+        with pytest.raises(gn.LimitError, match="1024.*1022"):
+            gn.separate(p2, a, family)
+
+
 # -- separating witnesses -------------------------------------------------------------
 
 
@@ -223,7 +242,7 @@ def test_is_in_radical_matches_support_criterion(scc_chain):
     # membership == every support path uses at least one edge on no cycle
     rng = random.Random(13)
     on_cycle = {
-        e.name: gn.reaches(scc_chain, e.target, e.source) for e in scc_chain.edges
+        e.name: e.source in bfs_reachable(scc_chain, e.target) for e in scc_chain.edges
     }
     for _ in range(20):
         a = random_nonzero_element(rng, scc_chain, max_terms=4, max_degree=4)
