@@ -10,7 +10,8 @@ recover    recover one path coefficient of an element through a family
 radical    radical generators, plus membership for an optional element
 
 Exit codes: 0 success; 2 unreadable input (parse errors, bad paths) or a size
-cap exceeded (LimitError, including the path-length cap of recovery);
+cap exceeded (LimitError, including the path-length cap of recovery and
+the grid cap of separation);
 3 file-system errors; 4 empty input (zero element, empty graph); 5 a
 construction's mathematical precondition fails.
 
@@ -229,7 +230,6 @@ def _cmd_separate(args: argparse.Namespace, cfg: CliConfig) -> int:
     witness = separate(
         g, a, args.family,
         loop_choice=_parse_loop_choice(g, args.loop_choice),
-        tol=cfg.tolerances,
     )
     if args.emit:
         _write_emit(
@@ -331,16 +331,13 @@ def _cmd_recover(args: argparse.Namespace, cfg: CliConfig) -> int:
     g = _load_graph(args.graph)
     a = _load_element(args.element, g)
     w = _parse_pathspec(g, args.path)
-    tol = cfg.tolerances
     if args.family == "irreducible":
-        value = recover_irreducible(g, a, w, tol=tol)
+        value = recover_irreducible(g, a, w)
     elif args.family == "nest":
-        value = recover_nest(g, a, w, tol=tol)
+        value = recover_nest(g, a, w)
     else:
         value = recover_upper(
-            g, a, w,
-            loop_choice=_parse_loop_choice(g, args.loop_choice),
-            tol=tol,
+            g, a, w, loop_choice=_parse_loop_choice(g, args.loop_choice)
         )
     if cfg.json_output:
         sys.stdout.write(

@@ -1,15 +1,18 @@
 """Exact coefficient recovery and separation through finite pairings.
 
 Every finitely supported element pairs with the finite-dimensional
-representation families in a single matrix entry that is a trigonometric
-polynomial in the family's unit-modulus parameters; the path coefficients
-are its Fourier coefficients, scaled by a power of two coming from the ½
-weights on edge images.  Sampling that entry on a product grid of roots of
-unity that is fine enough to rule out aliasing therefore recovers any
-coefficient exactly (up to floating-point roundoff), and an argmax over the
-same grid produces a concrete witness that a nonzero element acts
-nontrivially.  Paths longer than ``MAX_PATH_LENGTH`` edges raise
-``LimitError``: their scale 2^-|w| is no longer a normal double.
+representation families in a single matrix entry that is a polynomial in
+the family's unit-modulus parameters.  Every edge image carries weight ½
+and sends each basis vector to at most one other, so the coefficient of
+that polynomial at a path's multi-frequency is 2^-|w| times the path's
+coefficient.  The family's basis layout (``reps``) gives the polynomial
+exactly, one walk per support path, and recovery reads one coefficient of
+it.  Separation evaluates the polynomial on a root-of-unity grid with one
+more point per axis than its largest exponent, where a nonzero polynomial
+cannot vanish everywhere, and builds the witness where the entry is
+largest.  Paths longer than ``MAX_PATH_LENGTH`` edges raise ``LimitError``
+(their scale 2^-|w| is no longer a normal double), and so do separation
+grids of more than ``MAX_GRID_POINTS`` points.
 
 The radical helpers at the bottom answer membership combinatorially: an
 element lies in the radical exactly when none of its support paths can be
@@ -19,77 +22,42 @@ strongly connected components.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .elements import FormalElement, degree
+from .elements import FormalElement
 from .errors import EmptyInputError, LimitError, PreconditionError
-from .graphs import (
-    DirectedGraph,
-    Path,
-    complete_to_cycle,
-    compose,
-    condensation,
-    is_transitive_in_components,
-    primitive_root,
-)
-from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, operator_norm
+from .graphs import DirectedGraph, Path, condensation, is_transitive_in_components
+from .linalg import operator_norm
 from .reps import (
     FiniteRepresentation,
+    NestPlan,
     NestStructure,
-    _psi_from_plan,
-    _rho_from_plan,
+    _carrier,
+    _cycle_layout,
+    _Layout,
     designated_loops,
     evaluate,
     nest_plan,
-    phi_cycle,
     upper_plan,
 )
 
+#: Longest path whose pairing scale 2^-|w| is still a normal double.
+MAX_PATH_LENGTH = 1022
 
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Product grid of roots of unity, one axis per free parameter."""
+#: Most root-of-unity points a separation grid may have.
+MAX_GRID_POINTS = 2**20
 
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(n < 1 for n in self.counts):
-            raise ValueError("grid counts must be positive")
-
-    @property
-    def size(self) -> int:
-        out = 1
-        for n in self.counts:
-            out *= n
-        return out
-
-    def indices(self) -> Iterator[tuple[int, ...]]:
-        return itertools.product(*(range(n) for n in self.counts))
-
-    def point(self, index: tuple[int, ...]) -> tuple[complex, ...]:
-        """The tuple of roots of unity at a grid index."""
-        return tuple(
-            complex(np.exp(2j * np.pi * (t / n)))
-            for t, n in zip(index, self.counts)
-        )
+# A family's pairing entry for a path: layout, column, row, multi-frequency.
+_Target = tuple[_Layout, int, int, tuple[int, ...]]
 
 
 def _check_same_graph(g: DirectedGraph, a: FormalElement) -> None:
     if a.graph != g:
         raise ValueError("element belongs to a different graph")
-
-
-def _check_oversample(oversample: int) -> None:
-    if oversample < 1:
-        raise ValueError("oversample must be at least 1")
-
-
-#: Longest path whose pairing scale 2^-|w| is still a normal double.
-MAX_PATH_LENGTH = 1022
 
 
 def _check_length(w: Path) -> None:
@@ -100,145 +68,31 @@ def _check_length(w: Path) -> None:
         )
 
 
-def _vertex_block_rep(
-    g: DirectedGraph, x: str, tol: ToleranceConfig
-) -> FiniteRepresentation:
-    """One-dimensional representation supported on a single vertex.
-
-    Pairs any element to exactly its coefficient at that vertex: every
-    edge maps to 0 and every other vertex projection vanishes.
-    """
-    vertex_images = {
-        y: np.array([[1.0 + 0j]]) if y == x else np.zeros((1, 1), dtype=np.complex128)
-        for y in g.vertices
-    }
-    edge_images = {e.name: np.zeros((1, 1), dtype=np.complex128) for e in g.edges}
-    return FiniteRepresentation(
-        g, 1, vertex_images, edge_images, tol=tol, validate=False
-    )
-
-
-# -- irreducible family -----------------------------------------------------------
-
-
-def _irreducible_layout(g: DirectedGraph, w: Path) -> tuple[Path, int, int, int]:
-    """Primitive carrier cycle of ``w`` plus (row, frequency, cycle length)."""
-    connector = complete_to_cycle(g, w)
-    root, _ = primitive_root(compose(connector, w))
-    k = root.length
-    return root, w.length % k, w.length // k, k
-
-
-def _irreducible_samples(
-    g: DirectedGraph,
-    a: FormalElement,
-    root: Path,
-    row: int,
-    count: int,
-    tol: ToleranceConfig,
-) -> np.ndarray:
-    samples = np.empty(count, dtype=np.complex128)
-    for t in range(count):
-        lam = complex(np.exp(2j * np.pi * (t / count)))
-        rep = phi_cycle(g, root, lam, tol=tol, validate=False)
-        samples[t] = evaluate(rep, a)[row, 0]
-    return samples
-
-
-def recover_irreducible(
-    g: DirectedGraph,
-    a: FormalElement,
-    w: Path,
-    *,
-    tol: ToleranceConfig = DEFAULT_TOLERANCES,
-    oversample: int = 1,
-) -> complex:
-    """Recover the coefficient of ``w`` in ``a`` from the irreducible family.
-
-    The family lives on the primitive cycle that completes ``w``; the pairing
-    entry (row ``|w| mod k``, column 0) is a polynomial in the family's
-    parameter whose coefficient at frequency ``|w| div k`` is ``2^{-|w|}``
-    times the wanted coefficient.  Requires the end of ``w`` to reach its
-    start; a vertex path is recovered from the one-dimensional representation
-    supported on that vertex.  ``oversample`` multiplies the sample count;
-    any value leaves the result unchanged up to roundoff.
-    """
+def _check_path(g: DirectedGraph, a: FormalElement, w: Path) -> None:
     _check_same_graph(g, a)
-    _check_oversample(oversample)
     g.validate_path(w)
     _check_length(w)
+
+
+def _coefficient(a: FormalElement, w: Path, target: _Target) -> complex:
+    layout, col, row, frequency = target
+    return complex((2.0 ** w.length) * layout.pairing(a, col, row).get(frequency, 0j))
+
+
+# -- targets ------------------------------------------------------------------------
+
+
+def _nest_target(plan: NestPlan) -> _Target:
+    return plan.layout, plan.entry_index, plan.exit_index, plan.frequencies
+
+
+def _irreducible_target(g: DirectedGraph, w: Path) -> _Target:
+    """The cycle layout of the primitive cycle completing ``w``, entered at
+    h_1; a vertex path uses its one-dimensional nest layout instead."""
     if w.is_vertex:
-        rep = _vertex_block_rep(g, w.source, tol)
-        return complex(evaluate(rep, a)[0, 0])
-    if a.is_zero:
-        return 0j
-    root, row, freq, k = _irreducible_layout(g, w)
-    count = oversample * (1 + max(freq, max(0, (degree(a) - w.length) // k)))
-    samples = _irreducible_samples(g, a, root, row, count, tol)
-    return complex((2.0 ** w.length) * np.fft.fft(samples)[freq] / count)
-
-
-# -- nest family ------------------------------------------------------------------
-
-
-def _nest_grid(plan, d: int, oversample: int = 1) -> QuadratureGrid:
-    base = len(plan.crossing) + sum(b.prefix_len for b in plan.blocks)
-    counts = []
-    for b in plan.blocks:
-        if b.cycle is None:
-            counts.append(oversample)
-        else:
-            counts.append(
-                oversample * (1 + max(b.wraps, max(0, (d - base) // b.size)))
-            )
-    return QuadratureGrid(tuple(counts))
-
-
-def _nest_samples(
-    g: DirectedGraph,
-    a: FormalElement,
-    plan,
-    grid: QuadratureGrid,
-    tol: ToleranceConfig,
-) -> np.ndarray:
-    samples = np.empty(grid.counts, dtype=np.complex128)
-    for idx in grid.indices():
-        rep, _ = _rho_from_plan(g, plan, grid.point(idx), tol=tol, validate=False)
-        samples[idx] = evaluate(rep, a)[plan.exit_index, plan.entry_index]
-    return samples
-
-
-def recover_nest(
-    g: DirectedGraph,
-    a: FormalElement,
-    w: Path,
-    *,
-    tol: ToleranceConfig = DEFAULT_TOLERANCES,
-    oversample: int = 1,
-) -> complex:
-    """Recover the coefficient of ``w`` in ``a`` from the nest family on ``w``.
-
-    The pairing entry from the first block's entry vector to the last block's
-    arrival vector is a multivariate polynomial, one variable per diagonal
-    block; the coefficient of ``w`` sits at the multi-frequency given by the
-    blocks' wrap counts, scaled by ``2^{-|w|}``.  Works for any path,
-    vertex paths included.  ``oversample`` multiplies every axis of the
-    sampling grid without changing the result beyond roundoff.
-    """
-    _check_same_graph(g, a)
-    _check_oversample(oversample)
-    g.validate_path(w)
-    _check_length(w)
-    if a.is_zero:
-        return 0j
-    plan = nest_plan(g, w)
-    grid = _nest_grid(plan, degree(a), oversample)
-    samples = _nest_samples(g, a, plan, grid, tol)
-    coeff = np.fft.fftn(samples)[plan.frequencies] / grid.size
-    return complex((2.0 ** w.length) * coeff)
-
-
-# -- triangular family -------------------------------------------------------------
+        return _nest_target(nest_plan(g, w))
+    root, row, wraps = _carrier(g, w)
+    return _cycle_layout(g, root), 0, row, (wraps,)
 
 
 def _strip_designated(
@@ -264,36 +118,45 @@ def _strip_designated(
     return skeleton, dwell
 
 
-def _upper_grid(
-    a: FormalElement, plan, m_vec: tuple[int, ...], oversample: int = 1
-) -> QuadratureGrid:
-    slack = max(0, degree(a) - (plan.k - 1))
-    counts = []
-    for j, m_j in zip(plan.loop_positions, m_vec):
-        fname = plan.designated[plan.positions[j - 1]]
-        occurrences = max(
-            (sum(1 for n in p.traversal if n == fname) for p in a.support),
-            default=0,
-        )
-        counts.append(oversample * (1 + max(m_j, min(occurrences, slack))))
-    return QuadratureGrid(tuple(counts))
+def _upper_target(
+    g: DirectedGraph, v: Path, loop_choice: Mapping[str, str] | None
+) -> _Target:
+    """The triangular layout of ``v``'s skeleton, corner entry, at the
+    multi-frequency given by the designated-loop dwell counts."""
+    skeleton, dwell = _strip_designated(g, v, designated_loops(g, loop_choice))
+    plan = upper_plan(g, skeleton, loop_choice)
+    frequency = tuple(dwell.get(j, 0) for j in plan.loop_positions)
+    return plan.layout, 0, plan.k - 1, frequency
 
 
-def _upper_samples(
-    g: DirectedGraph,
-    a: FormalElement,
-    plan,
-    grid: QuadratureGrid,
-    tol: ToleranceConfig,
-) -> np.ndarray:
-    samples = np.empty(grid.counts, dtype=np.complex128)
-    for idx in grid.indices():
-        rep = _psi_from_plan(
-            g, plan, grid.point(idx),
-            require_distinct=False, tol=tol, validate=False,
-        )
-        samples[idx] = evaluate(rep, a)[plan.k - 1, 0]
-    return samples
+# -- recovery -----------------------------------------------------------------------
+
+
+def recover_irreducible(g: DirectedGraph, a: FormalElement, w: Path) -> complex:
+    """Recover the coefficient of ``w`` in ``a`` from the irreducible family.
+
+    The family lives on the primitive cycle that completes ``w``; the pairing
+    entry (row ``|w| mod k``, column 0) is a polynomial in the family's
+    parameter whose coefficient at frequency ``|w| div k`` is ``2^{-|w|}``
+    times the wanted coefficient.  Requires the end of ``w`` to reach its
+    start; a vertex path is recovered from the one-dimensional representation
+    supported on that vertex.
+    """
+    _check_path(g, a, w)
+    return _coefficient(a, w, _irreducible_target(g, w))
+
+
+def recover_nest(g: DirectedGraph, a: FormalElement, w: Path) -> complex:
+    """Recover the coefficient of ``w`` in ``a`` from the nest family on ``w``.
+
+    The pairing entry from the first block's entry vector to the last block's
+    arrival vector is a multivariate polynomial, one variable per diagonal
+    block; the coefficient of ``w`` sits at the multi-frequency given by the
+    blocks' wrap counts, scaled by ``2^{-|w|}``.  Works for any path,
+    vertex paths included.
+    """
+    _check_path(g, a, w)
+    return _coefficient(a, w, _nest_target(nest_plan(g, w)))
 
 
 def recover_upper(
@@ -302,8 +165,6 @@ def recover_upper(
     v: Path,
     *,
     loop_choice: Mapping[str, str] | None = None,
-    tol: ToleranceConfig = DEFAULT_TOLERANCES,
-    oversample: int = 1,
 ) -> complex:
     """Recover the coefficient of ``v`` in ``a`` from the triangular family.
 
@@ -312,27 +173,9 @@ def recover_upper(
     skeleton is a polynomial in the diagonal parameters, and the coefficient
     of ``v`` sits at the multi-frequency given by the dwell counts, scaled by
     ``2^{-|v|}``.  Requires every cycle-supporting vertex to carry a loop.
-    ``oversample`` multiplies every axis of the sampling grid without
-    changing the result beyond roundoff.
     """
-    _check_same_graph(g, a)
-    _check_oversample(oversample)
-    g.validate_path(v)
-    _check_length(v)
-    designated = designated_loops(g, loop_choice)
-    skeleton, dwell = _strip_designated(g, v, designated)
-    plan = upper_plan(g, skeleton, loop_choice)
-    if a.is_zero:
-        return 0j
-    m_vec = tuple(dwell.get(j, 0) for j in plan.loop_positions)
-    total = v.length
-    if not plan.loop_positions:
-        rep = _psi_from_plan(g, plan, [], require_distinct=False, tol=tol, validate=False)
-        return complex((2.0 ** total) * evaluate(rep, a)[plan.k - 1, 0])
-    grid = _upper_grid(a, plan, m_vec, oversample)
-    samples = _upper_samples(g, a, plan, grid, tol)
-    coeff = np.fft.fftn(samples)[m_vec] / grid.size
-    return complex((2.0 ** total) * coeff)
+    _check_path(g, a, v)
+    return _coefficient(a, v, _upper_target(g, v, loop_choice))
 
 
 # -- separation --------------------------------------------------------------------
@@ -388,27 +231,26 @@ class SeparationWitness:
         }
 
 
-def _argmax_index(samples: np.ndarray) -> tuple[int, ...]:
-    flat = int(np.argmax(np.abs(samples)))
-    return tuple(int(i) for i in np.unravel_index(flat, samples.shape))
+def _peak(poly: dict[tuple[int, ...], complex], axes: int) -> tuple[complex, ...]:
+    """The root-of-unity point where the polynomial is largest in modulus.
 
-
-def _finish_witness(
-    family: str,
-    w: Path,
-    a: FormalElement,
-    rep: FiniteRepresentation,
-    nest: NestStructure | None,
-    row: int,
-    col: int,
-    point: tuple[complex, ...],
-    frequency: tuple[int, ...],
-) -> SeparationWitness:
-    evaluated = evaluate(rep, a)
-    entry = complex(evaluated[row, col])
-    return SeparationWitness(
-        family, w, rep, nest, row, col, point, frequency,
-        entry, operator_norm(evaluated),
+    The grid has one more point per axis than the largest exponent on it,
+    so the inverse FFT of the coefficient tensor gives the polynomial's
+    values there (up to a positive factor) and they are not all zero.
+    """
+    shape = tuple(1 + max((e[i] for e in poly), default=0) for i in range(axes))
+    size = math.prod(shape)
+    if size > MAX_GRID_POINTS:
+        raise LimitError(
+            f"separation grid of {size} points exceeds the cap {MAX_GRID_POINTS}"
+        )
+    coefficients = np.zeros(shape, dtype=np.complex128)
+    for exponents, c in poly.items():
+        coefficients[exponents] = c
+    values = np.abs(np.fft.ifftn(coefficients))
+    best = np.unravel_index(int(np.argmax(values)), shape)
+    return tuple(
+        complex(np.exp(2j * np.pi * (int(t) / n))) for t, n in zip(best, shape)
     )
 
 
@@ -418,16 +260,17 @@ def separate(
     family: str,
     *,
     loop_choice: Mapping[str, str] | None = None,
-    tol: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> SeparationWitness:
     """Produce a representation from the named family separating ``a`` from 0.
 
     Takes the minimal support path of ``a`` (shortest, then earliest by edge
-    declaration), builds the family's recovery grid for it, and returns the
-    representation at the grid point where the pairing entry is largest in
-    absolute value.  Families: "irreducible" (requires every edge on a
-    cycle), "nest" (any graph), "upper" (requires loops at cycle-supporting
-    vertices).  Raises ``EmptyInputError`` for the zero element.
+    declaration), evaluates the family's pairing polynomial for it on a
+    root-of-unity grid, and returns the representation at the grid point
+    where the pairing entry is largest in absolute value.  Families:
+    "irreducible" (requires every edge on a cycle), "nest" (any graph),
+    "upper" (requires loops at cycle-supporting vertices).  Raises
+    ``EmptyInputError`` for the zero element and ``LimitError`` when the
+    grid would have more than ``MAX_GRID_POINTS`` points.
     """
     _check_same_graph(g, a)
     if family not in SEPARATION_FAMILIES:
@@ -439,49 +282,27 @@ def separate(
     w = a.support[0]
     _check_length(w)
 
+    nest = None
     if family == "irreducible":
         if not is_transitive_in_components(g):
             raise PreconditionError(
                 "the irreducible family separates only graphs whose every "
                 "edge lies on a cycle"
             )
-        if w.is_vertex:
-            rep = _vertex_block_rep(g, w.source, tol)
-            return _finish_witness(family, w, a, rep, None, 0, 0, (), ())
-        root, row, freq, k = _irreducible_layout(g, w)
-        count = 1 + max(freq, max(0, (degree(a) - w.length) // k))
-        samples = _irreducible_samples(g, a, root, row, count, tol)
-        (best,) = _argmax_index(samples)
-        lam = complex(np.exp(2j * np.pi * (best / count)))
-        rep = phi_cycle(g, root, lam, tol=tol, validate=False)
-        return _finish_witness(family, w, a, rep, None, row, 0, (lam,), (freq,))
-
-    if family == "nest":
+        target = _irreducible_target(g, w)
+    elif family == "nest":
         plan = nest_plan(g, w)
-        grid = _nest_grid(plan, degree(a))
-        samples = _nest_samples(g, a, plan, grid, tol)
-        point = grid.point(_argmax_index(samples))
-        rep, structure = _rho_from_plan(g, plan, point, tol=tol, validate=False)
-        return _finish_witness(
-            family, w, a, rep, structure,
-            plan.exit_index, plan.entry_index, point, plan.frequencies,
-        )
-
-    designated = designated_loops(g, loop_choice)
-    skeleton, dwell = _strip_designated(g, w, designated)
-    plan = upper_plan(g, skeleton, loop_choice)
-    m_vec = tuple(dwell.get(j, 0) for j in plan.loop_positions)
-    if not plan.loop_positions:
-        rep = _psi_from_plan(g, plan, [], require_distinct=False, tol=tol, validate=False)
-        return _finish_witness(family, w, a, rep, None, plan.k - 1, 0, (), ())
-    grid = _upper_grid(a, plan, m_vec)
-    samples = _upper_samples(g, a, plan, grid, tol)
-    point = grid.point(_argmax_index(samples))
-    rep = _psi_from_plan(
-        g, plan, point, require_distinct=False, tol=tol, validate=False
-    )
-    return _finish_witness(
-        family, w, a, rep, None, plan.k - 1, 0, point, m_vec
+        nest = NestStructure(plan.block_sizes)
+        target = _nest_target(plan)
+    else:
+        target = _upper_target(g, w, loop_choice)
+    layout, col, row, frequency = target
+    point = _peak(layout.pairing(a, col, row), len(frequency))
+    rep = layout.dense(point, validate=False)
+    evaluated = evaluate(rep, a)
+    return SeparationWitness(
+        family, w, rep, nest, row, col, point, frequency,
+        complex(evaluated[row, col]), operator_norm(evaluated),
     )
 
 

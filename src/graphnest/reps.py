@@ -17,13 +17,16 @@ Three explicit constructions drive everything downstream:
 
 All constructions scale edges by ½ so the row operator is a strict
 contraction; the relation report distinguishes such contractive
-representations from partially isometric ones instead of erroring.
+representations from partially isometric ones instead of erroring.  Each
+is decided once as a basis layout, in which every edge sends a basis vector
+to at most one other: the layout builds the dense matrices and reads an
+element's pairing entry as an exact polynomial in the parameters.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -213,6 +216,125 @@ def _check_unit_modulus(lam: complex) -> complex:
     return lam
 
 
+def _check_parameters(lambdas: Sequence[complex], count: int, per: str) -> list[complex]:
+    if len(lambdas) != count:
+        raise PreconditionError(
+            f"need {count} unit-modulus parameters (one per {per}), "
+            f"got {len(lambdas)}"
+        )
+    return [_check_unit_modulus(z) for z in lambdas]
+
+
+# -- basis layouts ----------------------------------------------------------------
+
+
+class _Layout:
+    """Basis layout of one representation family at a fixed path.
+
+    ``labels[i]`` is the vertex of basis vector i; vertex images project
+    onto their labelled positions.  ``steps[e][col] = (row, axis)`` says the
+    image of edge ``e`` sends basis vector ``col`` to ½·(basis vector
+    ``row``), times the parameter on ``axis`` unless ``axis`` is None; every
+    other basis vector goes to 0.  Only ``dense`` and ``pairing`` read it.
+    """
+
+    __slots__ = ("graph", "labels", "steps", "axes", "orientation")
+
+    def __init__(
+        self,
+        graph: DirectedGraph,
+        labels: Sequence[str],
+        entries: Sequence[tuple[str, int, int, int | None]],
+        axes: int,
+        orientation: str | None,
+    ):
+        self.graph = graph
+        self.labels = tuple(labels)
+        self.axes = axes
+        self.orientation = orientation
+        self.steps: dict[str, dict[int, tuple[int, int | None]]] = {}
+        for name, col, row, axis in entries:
+            self.steps.setdefault(name, {})[col] = (row, axis)
+
+    def dense(
+        self,
+        lambdas: Sequence[complex],
+        *,
+        tol: ToleranceConfig = DEFAULT_TOLERANCES,
+        validate: bool = True,
+    ) -> FiniteRepresentation:
+        """The representation by k×k matrices at one parameter per axis."""
+        g = self.graph
+        k = len(self.labels)
+        vertex_images = {x: np.zeros((k, k), dtype=np.complex128) for x in g.vertices}
+        edge_images = {e.name: np.zeros((k, k), dtype=np.complex128) for e in g.edges}
+        for i, x in enumerate(self.labels):
+            vertex_images[x][i, i] = 1.0
+        for name, cols in self.steps.items():
+            image = edge_images[name]
+            for col, (row, axis) in cols.items():
+                image[row, col] = 0.5 if axis is None else 0.5 * lambdas[axis]
+        return FiniteRepresentation(
+            g, k, vertex_images, edge_images,
+            orientation=self.orientation, tol=tol, validate=validate,
+        )
+
+    def pairing(
+        self, a: "FormalElement", col: int, row: int
+    ) -> dict[tuple[int, ...], complex]:
+        """Entry (row, col) of ``a`` as a polynomial ``{exponents: coefficient}``.
+
+        Each support path p walks basis vector ``col`` once; if it arrives at
+        ``row`` it adds c_p·2^-|p| at the multi-frequency counting how often
+        it stepped along each axis.
+        """
+        poly: dict[tuple[int, ...], complex] = {}
+        for p, c in a.items():
+            if self.labels[col] != p.source:
+                continue
+            i, exponents = col, [0] * self.axes
+            for name in reversed(p.edges):
+                step = self.steps.get(name, {}).get(i)
+                if step is None:
+                    break
+                i, axis = step
+                if axis is not None:
+                    exponents[axis] += 1
+            else:
+                if i == row:
+                    key = tuple(exponents)
+                    poly[key] = poly.get(key, 0j) + c * 0.5 ** p.length
+        return poly
+
+
+def _cycle_entries(
+    g: DirectedGraph, u: Path, offset: int, axis: int
+) -> tuple[list[str], list[tuple[str, int, int, int | None]]]:
+    """Labels and edge steps of the cycle basis h_1 … h_k of ``u``, placed
+    from ``offset``: h_j sits at the source of the j-th walked edge, which
+    sends it to ½·h_{j+1}; the wrap-around h_{k+1} means λ·h_1."""
+    walk = u.traversal
+    k = len(walk)
+    labels = [g.edge(name).source for name in walk]
+    entries = [
+        (name, offset + j, offset + (j + 1) % k, axis if j == k - 1 else None)
+        for j, name in enumerate(walk)
+    ]
+    return labels, entries
+
+
+def _cycle_layout(g: DirectedGraph, u: Path) -> _Layout:
+    return _Layout(g, *_cycle_entries(g, u, 0, 0), 1, None)
+
+
+def _carrier(g: DirectedGraph, seg: Path) -> tuple[Path, int, int]:
+    """Primitive cycle completing a component-internal path, the steps the
+    path ends past whole turns of it, and its number of whole turns."""
+    root, _ = primitive_root(compose(complete_to_cycle(g, seg), seg))
+    k = root.length
+    return root, seg.length % k, seg.length // k
+
+
 # -- cycle representation -------------------------------------------------------
 
 
@@ -235,18 +357,7 @@ def phi_cycle(
     if u.length < 1 or not u.is_cycle:
         raise PreconditionError(f"phi_cycle needs a cycle of length ≥ 1, got {u!r}")
     lam = _check_unit_modulus(lam)
-    k = u.length
-    word = u.traversal
-    vertex_images = {x: np.zeros((k, k), dtype=np.complex128) for x in g.vertices}
-    edge_images = {e.name: np.zeros((k, k), dtype=np.complex128) for e in g.edges}
-    for j in range(1, k + 1):
-        edge = g.edge(word[j - 1])
-        vertex_images[edge.source][j - 1, j - 1] = 1.0
-        factor = 0.5 * lam if j == k else 0.5
-        edge_images[edge.name][j % k, j - 1] += factor
-    return FiniteRepresentation(
-        g, k, vertex_images, edge_images, tol=tol, validate=validate
-    )
+    return _cycle_layout(g, u).dense([lam], tol=tol, validate=validate)
 
 
 # -- block nest representation -----------------------------------------------------
@@ -281,6 +392,7 @@ class NestPlan:
     path: Path
     blocks: tuple[_NestBlock, ...]
     crossing: tuple[str, ...]
+    layout: _Layout = field(repr=False, compare=False)
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
@@ -306,58 +418,32 @@ class NestPlan:
 
 def nest_plan(g: DirectedGraph, w: Path) -> NestPlan:
     """Decompose a path and complete each component-internal segment to a
-    primitive cycle, fixing block sizes, dyad positions and frequencies."""
+    primitive cycle, fixing block sizes, dyad positions and frequencies.
+
+    Block i is a cycle basis on parameter axis i (one vertex-labelled
+    vector for a vertex segment); crossing edge i sends block i's arrival
+    vector to ½ times block i+1's entry vector.
+    """
     dec = decompose_path(g, w)
     blocks: list[_NestBlock] = []
+    labels: list[str] = []
+    entries: list[tuple[str, int, int, int | None]] = []
     offset = 0
-    for seg in dec.segments:
+    for axis, seg in enumerate(dec.segments):
         if seg.is_vertex:
             blocks.append(_NestBlock(seg, None, 1, offset, 0, 0))
-            offset += 1
+            labels.append(seg.source)
         else:
-            completion = complete_to_cycle(g, seg)
-            root, _ = primitive_root(compose(completion, seg))
-            k = root.length
-            blocks.append(_NestBlock(seg, root, k, offset, seg.length % k, seg.length // k))
-            offset += k
-    return NestPlan(w, tuple(blocks), dec.crossing)
-
-
-def _rho_from_plan(
-    g: DirectedGraph,
-    plan: NestPlan,
-    lambdas: Sequence[complex],
-    *,
-    tol: ToleranceConfig = DEFAULT_TOLERANCES,
-    validate: bool = True,
-) -> tuple[FiniteRepresentation, NestStructure]:
-    if len(lambdas) != len(plan.blocks):
-        raise PreconditionError(
-            f"need {len(plan.blocks)} unit-modulus parameters (one per block), "
-            f"got {len(lambdas)}"
-        )
-    lams = [_check_unit_modulus(z) for z in lambdas]
-    dim = plan.dimension
-    vertex_images = {x: np.zeros((dim, dim), dtype=np.complex128) for x in g.vertices}
-    edge_images = {e.name: np.zeros((dim, dim), dtype=np.complex128) for e in g.edges}
-    for block, lam in zip(plan.blocks, lams):
-        sl = slice(block.offset, block.offset + block.size)
-        if block.cycle is None:
-            vertex_images[block.segment.source][block.offset, block.offset] = 1.0
-        else:
-            sub = phi_cycle(g, block.cycle, lam, tol=tol, validate=False)
-            for x in g.vertices:
-                vertex_images[x][sl, sl] = sub.vertex_images[x]
-            for e in g.edges:
-                edge_images[e.name][sl, sl] = sub.edge_images[e.name]
-    for i, name in enumerate(plan.crossing):
-        src_block, dst_block = plan.blocks[i], plan.blocks[i + 1]
-        edge_images[name][dst_block.entry_index, src_block.exit_index] = 0.5
-    rep = FiniteRepresentation(
-        g, dim, vertex_images, edge_images,
-        orientation="lower", tol=tol, validate=validate,
-    )
-    return rep, NestStructure(plan.block_sizes)
+            root, prefix, wraps = _carrier(g, seg)
+            blocks.append(_NestBlock(seg, root, root.length, offset, prefix, wraps))
+            block_labels, block_entries = _cycle_entries(g, root, offset, axis)
+            labels += block_labels
+            entries += block_entries
+        offset += blocks[-1].size
+    for name, src, dst in zip(dec.crossing, blocks, blocks[1:]):
+        entries.append((name, src.exit_index, dst.entry_index, None))
+    layout = _Layout(g, labels, entries, len(blocks), "lower")
+    return NestPlan(w, tuple(blocks), dec.crossing, layout)
 
 
 def rho_nest(
@@ -377,7 +463,10 @@ def rho_nest(
     arrival vector to the next block's entry vector.  One unit-modulus
     parameter per block.  Returns the representation and its block sizes.
     """
-    return _rho_from_plan(g, nest_plan(g, w), lambdas, tol=tol, validate=validate)
+    plan = nest_plan(g, w)
+    lams = _check_parameters(lambdas, len(plan.blocks), "block")
+    rep = plan.layout.dense(lams, tol=tol, validate=validate)
+    return rep, NestStructure(plan.block_sizes)
 
 
 # -- triangular representation from a loop-avoiding walk ------------------------------
@@ -391,6 +480,7 @@ class UpperPlan:
     positions: tuple[str, ...]      # vertex at each basis position (length k)
     loop_positions: tuple[int, ...]  # 1-based positions whose vertex has a loop
     designated: dict[str, str]      # loop vertex -> designated loop edge
+    layout: _Layout = field(repr=False, compare=False)
 
     @property
     def k(self) -> int:
@@ -423,7 +513,8 @@ def upper_plan(
     Requires every cycle-supporting vertex of the graph to support a loop.
     The designated loop of a loop vertex defaults to its first declared loop;
     ``loop_choice`` overrides per vertex.  The walk must avoid designated
-    loops (non-designated loops are ordinary edges here).
+    loops (non-designated loops are ordinary edges here).  The designated
+    loop at the i-th loop position acts there on parameter axis i.
     """
     if not ut_separating_condition(g):
         raise PreconditionError(
@@ -443,45 +534,13 @@ def upper_plan(
     loop_positions = tuple(
         j for j, x in enumerate(positions, start=1) if x in designated
     )
-    return UpperPlan(w, positions, loop_positions, designated)
-
-
-def _psi_from_plan(
-    g: DirectedGraph,
-    plan: UpperPlan,
-    lambdas: Sequence[complex],
-    *,
-    require_distinct: bool = True,
-    tol: ToleranceConfig = DEFAULT_TOLERANCES,
-    validate: bool = True,
-) -> FiniteRepresentation:
-    if len(lambdas) != len(plan.loop_positions):
-        raise PreconditionError(
-            f"need {len(plan.loop_positions)} unit-modulus parameters (one per "
-            f"loop-supporting position), got {len(lambdas)}"
-        )
-    lams = [_check_unit_modulus(z) for z in lambdas]
-    if require_distinct:
-        for i in range(len(lams)):
-            for j in range(i + 1, len(lams)):
-                if abs(lams[i] - lams[j]) <= UNIT_MODULUS_TOL:
-                    raise PreconditionError(
-                        "diagonal parameters must be pairwise distinct"
-                    )
-    k = plan.k
-    vertex_images = {x: np.zeros((k, k), dtype=np.complex128) for x in g.vertices}
-    edge_images = {e.name: np.zeros((k, k), dtype=np.complex128) for e in g.edges}
-    for j, x in enumerate(plan.positions, start=1):
-        vertex_images[x][j - 1, j - 1] = 1.0
-    for j, lam in zip(plan.loop_positions, lams):
-        f = plan.designated[plan.positions[j - 1]]
-        edge_images[f][j - 1, j - 1] += 0.5 * lam
-    for j, name in enumerate(plan.path.traversal, start=1):
-        edge_images[name][j, j - 1] += 0.5
-    return FiniteRepresentation(
-        g, k, vertex_images, edge_images,
-        orientation="lower", tol=tol, validate=validate,
-    )
+    entries: list[tuple[str, int, int, int | None]] = [
+        (designated[positions[j - 1]], j - 1, j - 1, axis)
+        for axis, j in enumerate(loop_positions)
+    ]
+    entries += [(name, j - 1, j, None) for j, name in enumerate(walk, start=1)]
+    layout = _Layout(g, positions, entries, len(loop_positions), "lower")
+    return UpperPlan(w, positions, loop_positions, designated, layout)
 
 
 def psi_upper(
@@ -506,10 +565,17 @@ def psi_upper(
     triangular algebra of dimension k(k+1)/2.
     """
     plan = upper_plan(g, w, loop_choice)
-    return _psi_from_plan(
-        g, plan, lambdas,
-        require_distinct=require_distinct, tol=tol, validate=validate,
+    lams = _check_parameters(
+        lambdas, len(plan.loop_positions), "loop-supporting position"
     )
+    if require_distinct:
+        for i in range(len(lams)):
+            for j in range(i + 1, len(lams)):
+                if abs(lams[i] - lams[j]) <= UNIT_MODULUS_TOL:
+                    raise PreconditionError(
+                        "diagonal parameters must be pairwise distinct"
+                    )
+    return plan.layout.dense(lams, tol=tol, validate=validate)
 
 
 def reverse_basis(rep: FiniteRepresentation) -> FiniteRepresentation:
@@ -622,7 +688,7 @@ def n_nest_truncation(
         cmath.exp(2j * cmath.pi * ((seed + j) % order) / order)
         for j in plan.loop_positions
     ]
-    return _psi_from_plan(g, plan, lambdas, require_distinct=True, tol=tol)
+    return plan.layout.dense(lambdas, tol=tol)
 
 
 # -- diagnostics -----------------------------------------------------------------------

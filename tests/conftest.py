@@ -56,6 +56,11 @@ GRAPH_TEXTS = {
         "edge a v v\nedge b v v\nedge e v w\nedge c w w\n"
         "edge f w z\nedge h z u\nedge d u u\n"
     ),
+    # 3-cycle left mid-turn through a crossing edge to a one-loop vertex
+    "cycle_exit": (
+        "vertex x1\nvertex x2\nvertex x3\nvertex y\n"
+        "edge e1 x1 x2\nedge e2 x2 x3\nedge e3 x3 x1\nedge t x2 y\nedge l y y\n"
+    ),
 }
 
 # graphs whose cycles feed the cycle-representation checks
@@ -142,3 +147,18 @@ def random_graph(rng, max_vertices=8, max_edges=16):
     for j in range(rng.randint(0, max_edges)):
         lines.append(f"edge e{j} v{rng.randrange(nv)} v{rng.randrange(nv)}")
     return gn.parse_graph("\n".join(lines) + "\n")
+
+
+def two_loop_chain_text(n):
+    """Vertices v0 … v(n-1), each with loops a_i and b_i, joined by e_i."""
+    lines = [f"vertex v{i}" for i in range(n)]
+    for i in range(n):
+        lines += [f"edge a{i} v{i} v{i}", f"edge b{i} v{i} v{i}"]
+    lines += [f"edge e{i} v{i} v{i + 1}" for i in range(n - 1)]
+    return "\n".join(lines) + "\n"
+
+
+def loop_walk(n):
+    """The walk a0 e0 a1 … e(n-2) a(n-1) on ``two_loop_chain_text(n)``:
+    one wrap in each of its n nest blocks."""
+    return ["a0"] + [name for i in range(n - 1) for name in (f"e{i}", f"a{i + 1}")]

@@ -1,4 +1,4 @@
-"""Exact-arithmetic oracles used to pin expected values independently.
+"""Reference oracles used to pin expected values independently.
 
 Matrices over the Gaussian rationals are stored as tuples of tuples of
 ``(Fraction, Fraction)`` pairs (real, imaginary).  The span-closure
@@ -7,9 +7,21 @@ generated-algebra dimensions frozen into the tests do not depend on any
 floating-point rank decision.  The cycle-representation builder here is a
 separate, direct transcription of the defining formulas, used to
 cross-check the package's construction entry by entry.
+
+The sampled recoveries at the end take each path coefficient the slow way:
+they build the dense representation at every point of a root-of-unity grid
+sized from the element's degree, read the pairing entry there, and take
+the discrete Fourier transform.  They check the package's recovery, which
+reads the same coefficient from a polynomial without sampling.
 """
 
+import itertools
+import math
 from fractions import Fraction
+
+import numpy as np
+
+import graphnest as gn
 
 ZERO = (Fraction(0), Fraction(0))
 ONE = (Fraction(1), Fraction(0))
@@ -199,3 +211,96 @@ def component_by_definition(g, table, x):
         for v in members
     )
     return members, "Cycle" if single else "StronglyTransitive"
+
+
+# -- sampled recovery ------------------------------------------------------------
+
+
+def _sampled_coefficient(rep_at, a, row, col, counts, frequency):
+    """Fourier coefficient of the (row, col) entry of ``a`` at ``frequency``,
+    from the dense representation ``rep_at(point)`` rebuilt at every point
+    of the product grid of ``counts[i]``-th roots of unity."""
+    samples = np.empty(counts, dtype=np.complex128)
+    for index in itertools.product(*(range(n) for n in counts)):
+        point = tuple(
+            complex(np.exp(2j * np.pi * (t / n))) for t, n in zip(index, counts)
+        )
+        samples[index] = gn.evaluate(rep_at(point), a)[row, col]
+    return complex(np.fft.fftn(samples)[frequency] / math.prod(counts))
+
+
+def _check_oversample(oversample):
+    if oversample < 1:
+        raise ValueError("oversample must be at least 1")
+
+
+def recover_irreducible_sampled(g, a, w, oversample=1):
+    """Coefficient of ``w`` from cycle representations on the primitive
+    cycle completing ``w``; a vertex path reads the 1×1 representation
+    supported on its vertex.  ``oversample`` multiplies the sample count."""
+    _check_oversample(oversample)
+    if w.is_vertex:
+        zero = np.zeros((1, 1), dtype=np.complex128)
+        rep = gn.FiniteRepresentation(
+            g, 1,
+            {y: np.ones((1, 1)) if y == w.source else zero for y in g.vertices},
+            {e.name: zero for e in g.edges},
+        )
+        return complex(gn.evaluate(rep, a)[0, 0])
+    root, _ = gn.primitive_root(gn.compose(gn.complete_to_cycle(g, w), w))
+    k = root.length
+    row, freq = w.length % k, w.length // k
+    count = oversample * (1 + max(freq, max(0, (gn.degree(a) - w.length) // k)))
+    coeff = _sampled_coefficient(
+        lambda point: gn.phi_cycle(g, root, point[0], validate=False),
+        a, row, 0, (count,), (freq,),
+    )
+    return (2.0 ** w.length) * coeff
+
+
+def recover_nest_sampled(g, a, w, oversample=1):
+    """Coefficient of ``w`` from nest representations on ``w``, sampled on
+    a grid wide enough for every block's frequencies up to the degree."""
+    _check_oversample(oversample)
+    plan = gn.nest_plan(g, w)
+    d = gn.degree(a)
+    base = len(plan.crossing) + sum(b.prefix_len for b in plan.blocks)
+    counts = tuple(
+        oversample * (1 if b.cycle is None else 1 + max(b.wraps, max(0, (d - base) // b.size)))
+        for b in plan.blocks
+    )
+    coeff = _sampled_coefficient(
+        lambda point: gn.rho_nest(g, w, point, validate=False)[0],
+        a, plan.exit_index, plan.entry_index, counts, plan.frequencies,
+    )
+    return (2.0 ** w.length) * coeff
+
+
+def recover_upper_sampled(g, a, v, loop_choice=None, oversample=1):
+    """Coefficient of ``v`` from triangular representations on its skeleton
+    (``v`` without designated loops), at the dwell counts' frequency."""
+    _check_oversample(oversample)
+    designated = gn.designated_loops(g, loop_choice)
+    kept, dwell, current = [], {}, v.source
+    for name in v.traversal:
+        if designated.get(current) == name:
+            dwell[len(kept) + 1] = dwell.get(len(kept) + 1, 0) + 1
+        else:
+            kept.append(name)
+        current = g.edge(name).target
+    skeleton = g.path_from_traversal(kept) if kept else g.vertex_path(v.source)
+    plan = gn.upper_plan(g, skeleton, loop_choice)
+    frequency = tuple(dwell.get(j, 0) for j in plan.loop_positions)
+    slack = max(0, gn.degree(a) - (plan.k - 1))
+    counts = []
+    for j, m_j in zip(plan.loop_positions, frequency):
+        loop = designated[plan.positions[j - 1]]
+        occurrences = max(p.traversal.count(loop) for p in a.support) if a.support else 0
+        counts.append(oversample * (1 + max(m_j, min(occurrences, slack))))
+    coeff = _sampled_coefficient(
+        lambda point: gn.psi_upper(
+            g, skeleton, point, loop_choice, require_distinct=False, validate=False
+        ),
+        a, plan.k - 1, 0, tuple(counts), frequency,
+    )
+    return (2.0 ** v.length) * coeff

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import graphnest as gn
+from conftest import loop_walk, two_loop_chain_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
 P2 = str(FIXTURES / "p2.graph")
@@ -167,6 +168,18 @@ def test_path_past_the_length_cap_exits_2(tmp_path):
     proc = run_cli("recover", P2, str(elem), ",".join(["a"] * 1024), "--family", "nest")
     assert proc.returncode == 2
     assert "exceeds the cap 1022" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_separation_grid_past_the_cap_exits_2(tmp_path):
+    # 21 blocks of one wrap each: a grid of 2^21 points, over the 2^20 cap
+    graph = tmp_path / "chain.graph"
+    graph.write_text(two_loop_chain_text(21))
+    elem = tmp_path / "walk.json"
+    elem.write_text(json.dumps({"terms": [{"coeff": [1.0, 0.0], "path": loop_walk(21)}]}))
+    proc = run_cli("separate", str(graph), str(elem), "--family", "nest")
+    assert proc.returncode == 2
+    assert "2097152 points exceeds the cap 1048576" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 
 import graphnest as gn
-from conftest import make_graph, random_nonzero_element
-from exact_oracle import bfs_reachable
+from conftest import loop_walk, make_graph, random_nonzero_element, two_loop_chain_text
+from exact_oracle import (
+    bfs_reachable,
+    recover_irreducible_sampled,
+    recover_nest_sampled,
+    recover_upper_sampled,
+)
 
 
 def coefficient_of(a, w):
@@ -102,33 +107,58 @@ def test_recover_families_agree_on_transitive_graph(p2):
 
 
 def test_recovery_grid_oversampling_is_exact(scc_chain, p2):
+    # the sampling oracle agrees with recovery on any grid refinement
     rng = random.Random(31)
     a = random_nonzero_element(rng, scc_chain, max_terms=6, max_degree=5)
     for path, _ in a.items():
-        base = gn.recover_nest(scc_chain, a, path)
-        dense = gn.recover_nest(scc_chain, a, path, oversample=2)
-        assert abs(base - dense) <= 1e-10
-        base = gn.recover_upper(scc_chain, a, path)
-        dense = gn.recover_upper(scc_chain, a, path, oversample=2)
-        assert abs(base - dense) <= 1e-10
+        dense = recover_nest_sampled(scc_chain, a, path, oversample=2)
+        assert abs(gn.recover_nest(scc_chain, a, path) - dense) <= 1e-10
+        dense = recover_upper_sampled(scc_chain, a, path, oversample=2)
+        assert abs(gn.recover_upper(scc_chain, a, path) - dense) <= 1e-10
     b = random_nonzero_element(rng, p2, max_terms=5, max_degree=4)
     for path, _ in b.items():
-        base = gn.recover_irreducible(p2, b, path)
-        dense = gn.recover_irreducible(p2, b, path, oversample=3)
-        assert abs(base - dense) <= 1e-10
+        dense = recover_irreducible_sampled(p2, b, path, oversample=3)
+        assert abs(gn.recover_irreducible(p2, b, path) - dense) <= 1e-10
 
 
 def test_recovery_rejects_bad_oversample(p2):
     a = gn.FormalElement.single(p2, p2.vertex_path("v"))
     with pytest.raises(ValueError):
-        gn.recover_nest(p2, a, p2.vertex_path("v"), oversample=0)
+        recover_nest_sampled(p2, a, p2.vertex_path("v"), oversample=0)
 
 
 def test_longest_path_below_the_cap_recovers(p2):
     # 2^-1022 is the smallest normal double
     w = p2.path_from_traversal(["a"] * 1022)
     a = gn.FormalElement.single(p2, w)
-    assert gn.recover_nest(p2, a, w) == pytest.approx(1.0, abs=1e-9)
+    for recover in (gn.recover_irreducible, gn.recover_nest, gn.recover_upper):
+        assert recover(p2, a, w) == pytest.approx(1.0, abs=1e-9)
+    for family in ("irreducible", "nest", "upper"):
+        wit = gn.separate(p2, a, family)
+        assert wit.frequency == (1022,)
+        assert abs(abs(wit.entry_value) * 2.0 ** 1022 - 1.0) <= 1e-9
+        assert wit.value >= abs(wit.entry_value) > 0
+
+
+def test_separation_grid_past_the_cap_raises_limit_error():
+    g = gn.parse_graph(two_loop_chain_text(21))
+    w = g.path_from_traversal(loop_walk(21))
+    a = gn.FormalElement.single(g, w)
+    for family in ("nest", "upper"):
+        with pytest.raises(gn.LimitError, match="2097152 points exceeds the cap 1048576"):
+            gn.separate(g, a, family)
+    # recovery reads one coefficient and samples no grid
+    assert gn.recover_nest(g, a, w) == 1.0
+    assert gn.recover_upper(g, a, w) == 1.0
+
+
+def test_separation_grid_at_the_cap_separates():
+    g = gn.parse_graph(two_loop_chain_text(20))
+    a = gn.FormalElement.single(g, g.path_from_traversal(loop_walk(20)))
+    assert gn.recovery.MAX_GRID_POINTS == 2 ** 20
+    wit = gn.separate(g, a, "nest")
+    assert wit.frequency == (1,) * 20
+    assert wit.value >= abs(wit.entry_value) > 0
 
 
 def test_paths_past_the_cap_raise_limit_error(p2):
