@@ -10,9 +10,9 @@ recover    recover one path coefficient of an element through a family
 radical    radical generators, plus membership for an optional element
 
 Exit codes: 0 success; 2 unreadable input (parse errors, bad paths) or a size
-cap exceeded (LimitError, including the path-length cap of recovery and
-the grid cap of separation);
-3 file-system errors; 4 empty input (zero element, empty graph); 5 a
+cap exceeded (LimitError, including the path-length cap of recovery, the
+grid cap of separation and a subnormal separation witness entry); 3
+file-system errors; 4 empty input (zero element, empty graph); 5 a
 construction's mathematical precondition fails.
 
 Unit-modulus parameters are written as fractions of a full turn:
@@ -82,10 +82,7 @@ class CliConfig:
 
 def _config_from_args(args: argparse.Namespace) -> CliConfig:
     return CliConfig(
-        tolerances=ToleranceConfig(
-            rank_tol=args.rank_tol,
-            norm_tol=args.norm_tol,
-        ),
+        tolerances=ToleranceConfig(norm_tol=args.norm_tol),
         max_basis=args.max_basis,
         json_output=args.json,
         seed=args.seed,
@@ -267,7 +264,6 @@ def _cmd_separate(args: argparse.Namespace, cfg: CliConfig) -> int:
 def _build_rep(
     args: argparse.Namespace, cfg: CliConfig, g: DirectedGraph
 ) -> tuple[FiniteRepresentation, list[int] | None]:
-    tol = cfg.tolerances
     kind = args.kind
     if kind == "phi":
         if not args.cycle or args.lambda_arg is None:
@@ -276,12 +272,12 @@ def _build_rep(
         lams = _parse_lambdas(args.lambda_arg)
         if len(lams) != 1:
             raise PathError("rep phi takes exactly one --lambda-arg value")
-        return phi_cycle(g, u, lams[0], tol=tol), None
+        return phi_cycle(g, u, lams[0]), None
     if kind == "rho":
         if not args.path or args.lambda_arg is None:
             raise PathError("rep rho needs --path and --lambda-arg")
         w = _parse_pathspec(g, args.path)
-        rep, structure = rho_nest(g, w, _parse_lambdas(args.lambda_arg), tol=tol)
+        rep, structure = rho_nest(g, w, _parse_lambdas(args.lambda_arg))
         return rep, list(structure.block_sizes)
     if kind == "psi":
         if not args.path or args.lambda_arg is None:
@@ -290,13 +286,12 @@ def _build_rep(
         rep = psi_upper(
             g, w, _parse_lambdas(args.lambda_arg),
             _parse_loop_choice(g, args.loop_choice),
-            tol=tol,
         )
         return rep, [1] * rep.dimension
     if kind == "fock":
-        rep = truncated_left_regular(g, args.depth, max_basis=cfg.max_basis, tol=tol)
+        rep = truncated_left_regular(g, args.depth, max_basis=cfg.max_basis)
         return rep, None
-    rep = n_nest_truncation(g, args.prefix_len, cfg.seed, tol=tol)
+    rep = n_nest_truncation(g, args.prefix_len, cfg.seed)
     return rep, [1] * rep.dimension
 
 
@@ -386,7 +381,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument("--seed", type=int, default=0, help="seed for seeded constructions")
     common.add_argument("--max-basis", type=int, default=20_000, help="basis size cap")
-    common.add_argument("--rank-tol", type=float, default=1e-9, help="rank decision tolerance")
     common.add_argument("--norm-tol", type=float, default=1e-9, help="relation-check tolerance")
 
     parser = argparse.ArgumentParser(

@@ -5,7 +5,7 @@ finite Fourier series Σ a_p L_p over the path semigroupoid.  Products follow
 the semigroupoid: L_p·L_q = L_{pq} when the paths compose and vanish
 otherwise.  This module also builds the truncated Fock basis (all paths up
 to a length cap, ordered by length then declaration order) and the truncated
-left regular representation on it.
+left regular representation on it, in the monomial storage of ``reps``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import GraphParseError, LimitError
 from .graphs import DirectedGraph, Path, compose, _levels
-from .linalg import DEFAULT_TOLERANCES, ToleranceConfig
 from .reps import FiniteRepresentation
 
 #: Default ceiling on the truncated Fock basis size.
@@ -238,44 +237,33 @@ def truncated_fock_basis(
 
 
 def truncated_left_regular(
-    g: DirectedGraph,
-    d: int,
-    *,
-    max_basis: int = DEFAULT_MAX_BASIS,
-    tol: ToleranceConfig = DEFAULT_TOLERANCES,
+    g: DirectedGraph, d: int, *, max_basis: int = DEFAULT_MAX_BASIS
 ) -> FiniteRepresentation:
     """Left multiplication on the span of {ξ_w : |w| ≤ d}.
 
     A vertex acts as the projection onto {ξ_w : r(w) = x}; an edge sends ξ_w
     to ξ_{ew} when the composition is defined and still fits the truncation,
-    and to 0 otherwise.  The returned representation carries the basis on its
+    and to 0 otherwise.  Each basis vector ξ_w is labelled by r(w) and each
+    edge image is stored as that partial map with weight 1, so no k×k array
+    is built.  The returned representation carries the basis on its
     ``fock_basis`` attribute.
     """
     basis = truncated_fock_basis(g, d, max_basis=max_basis)
     n = basis.dimension
-    vertex_images = {}
-    for x in g.vertices:
-        m = np.zeros((n, n), dtype=np.complex128)
-        for i, w in enumerate(basis.paths):
-            if w.target == x:
-                m[i, i] = 1.0
-        vertex_images[x] = m
-    edge_images = {}
+    labels = np.array([g.vertex_index(w.target) for w in basis.paths], dtype=np.intp)
+    names, rows = [], []
     for e in g.edges:
-        m = np.zeros((n, n), dtype=np.complex128)
         ep = g.edge_path(e.name)
-        for i, w in enumerate(basis.paths):
-            if w.target == e.source and w.length + 1 <= d:
-                m[basis.index(compose(ep, w)), i] = 1.0
-        edge_images[e.name] = m
-    return FiniteRepresentation(
-        graph=g,
-        dimension=n,
-        vertex_images=vertex_images,
-        edge_images=edge_images,
-        fock_basis=basis,
-        tol=tol,
-    )
+        row = [
+            basis.index(compose(ep, w)) if w.target == e.source and w.length < d else -1
+            for w in basis.paths
+        ]
+        if max(row, default=-1) >= 0:
+            names.append(e.name)
+            rows.append(row)
+    rows = np.array(rows, dtype=np.intp).reshape(len(names), n)
+    weights = (rows >= 0).astype(np.complex128)
+    return FiniteRepresentation(g, n, labels, (names, rows, weights), fock_basis=basis)
 
 
 # -- JSON encoding ------------------------------------------------------------------

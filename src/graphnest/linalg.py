@@ -1,8 +1,8 @@
 """Dense complex matrix helpers and the span-closure engine.
 
-Matrices are numpy ``complex128`` arrays throughout.  Everything here is
-deliberately small-scale: the representations this package constructs have
-dimension well under a hundred, so norms and ranks go through direct SVDs.
+Matrices are numpy ``complex128`` arrays throughout, and norms and ranks
+go through direct SVDs.  Representations are stored as weighted partial
+maps (``reps``); these helpers serve the dense matrices read from them.
 
 ``span_closure_dim`` computes the linear dimension of the (non-unital)
 algebra generated by a finite set of k×k matrices — the workhorse behind the

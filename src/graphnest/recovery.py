@@ -6,13 +6,13 @@ the family's unit-modulus parameters.  Every edge image carries weight ½
 and sends each basis vector to at most one other, so the coefficient of
 that polynomial at a path's multi-frequency is 2^-|w| times the path's
 coefficient.  The family's basis layout (``reps``) gives the polynomial
-exactly, one walk per support path, and recovery reads one coefficient of
-it.  Separation evaluates the polynomial on a root-of-unity grid with one
-more point per axis than its largest exponent, where a nonzero polynomial
-cannot vanish everywhere, and builds the witness where the entry is
-largest.  Paths longer than ``MAX_PATH_LENGTH`` edges raise ``LimitError``
-(their scale 2^-|w| is no longer a normal double), and so do separation
-grids of more than ``MAX_GRID_POINTS`` points.
+exactly, one walk per support path, with the scale 2^-|w| kept apart, and
+recovery reads one coefficient of it unscaled.  Separation evaluates the
+polynomial on a root-of-unity grid with one more point per axis than its
+largest exponent, where a nonzero polynomial cannot vanish everywhere, and
+builds the witness where the entry is largest.  ``LimitError`` is raised
+for paths longer than ``MAX_PATH_LENGTH`` edges, separation grids of more
+than ``MAX_GRID_POINTS`` points and zero or subnormal witness entries.
 
 The radical helpers at the bottom answer membership combinatorially: an
 element lies in the radical exactly when none of its support paths can be
@@ -23,6 +23,7 @@ strongly connected components.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -74,9 +75,9 @@ def _check_path(g: DirectedGraph, a: FormalElement, w: Path) -> None:
     _check_length(w)
 
 
-def _coefficient(a: FormalElement, w: Path, target: _Target) -> complex:
+def _coefficient(a: FormalElement, target: _Target) -> complex:
     layout, col, row, frequency = target
-    return complex((2.0 ** w.length) * layout.pairing(a, col, row).get(frequency, 0j))
+    return complex(layout.pairing(a, col, row).get(frequency, (0, 0j))[1])
 
 
 # -- targets ------------------------------------------------------------------------
@@ -143,7 +144,7 @@ def recover_irreducible(g: DirectedGraph, a: FormalElement, w: Path) -> complex:
     supported on that vertex.
     """
     _check_path(g, a, w)
-    return _coefficient(a, w, _irreducible_target(g, w))
+    return _coefficient(a, _irreducible_target(g, w))
 
 
 def recover_nest(g: DirectedGraph, a: FormalElement, w: Path) -> complex:
@@ -156,7 +157,7 @@ def recover_nest(g: DirectedGraph, a: FormalElement, w: Path) -> complex:
     vertex paths included.
     """
     _check_path(g, a, w)
-    return _coefficient(a, w, _nest_target(nest_plan(g, w)))
+    return _coefficient(a, _nest_target(nest_plan(g, w)))
 
 
 def recover_upper(
@@ -175,7 +176,7 @@ def recover_upper(
     ``2^{-|v|}``.  Requires every cycle-supporting vertex to carry a loop.
     """
     _check_path(g, a, v)
-    return _coefficient(a, v, _upper_target(g, v, loop_choice))
+    return _coefficient(a, _upper_target(g, v, loop_choice))
 
 
 # -- separation --------------------------------------------------------------------
@@ -231,12 +232,15 @@ class SeparationWitness:
         }
 
 
-def _peak(poly: dict[tuple[int, ...], complex], axes: int) -> tuple[complex, ...]:
+def _peak(poly: dict[tuple[int, ...], tuple[int, complex]], axes: int) -> tuple[complex, ...]:
     """The root-of-unity point where the polynomial is largest in modulus.
 
     The grid has one more point per axis than the largest exponent on it,
     so the inverse FFT of the coefficient tensor gives the polynomial's
     values there (up to a positive factor) and they are not all zero.
+    Each coefficient is scaled by 2^-length relative to the shortest length,
+    which does not move the peak.  λ = 1, where the weights ½ multiply
+    exactly, wins ties within rounding (one term has one modulus everywhere).
     """
     shape = tuple(1 + max((e[i] for e in poly), default=0) for i in range(axes))
     size = math.prod(shape)
@@ -245,10 +249,12 @@ def _peak(poly: dict[tuple[int, ...], complex], axes: int) -> tuple[complex, ...
             f"separation grid of {size} points exceeds the cap {MAX_GRID_POINTS}"
         )
     coefficients = np.zeros(shape, dtype=np.complex128)
-    for exponents, c in poly.items():
-        coefficients[exponents] = c
-    values = np.abs(np.fft.ifftn(coefficients))
-    best = np.unravel_index(int(np.argmax(values)), shape)
+    shortest = min([length for length, _ in poly.values()], default=0)
+    for exponents, (length, c) in poly.items():
+        coefficients[exponents] = c * 0.5 ** (length - shortest)
+    values = np.abs(np.fft.ifftn(coefficients)).reshape(-1)
+    best = int(np.argmax(values))
+    best = np.unravel_index(0 if values[0] >= values[best] * (1 - 1e-12) else best, shape)
     return tuple(
         complex(np.exp(2j * np.pi * (int(t) / n))) for t, n in zip(best, shape)
     )
@@ -269,8 +275,9 @@ def separate(
     where the pairing entry is largest in absolute value.  Families:
     "irreducible" (requires every edge on a cycle), "nest" (any graph),
     "upper" (requires loops at cycle-supporting vertices).  Raises
-    ``EmptyInputError`` for the zero element and ``LimitError`` when the
-    grid would have more than ``MAX_GRID_POINTS`` points.
+    ``EmptyInputError`` for the zero element, and ``LimitError`` when the
+    grid would have more than ``MAX_GRID_POINTS`` points or the witness
+    entry is zero or subnormal, so every witness has ``value ≥ |entry| > 0``.
     """
     _check_same_graph(g, a)
     if family not in SEPARATION_FAMILIES:
@@ -298,12 +305,15 @@ def separate(
         target = _upper_target(g, w, loop_choice)
     layout, col, row, frequency = target
     point = _peak(layout.pairing(a, col, row), len(frequency))
-    rep = layout.dense(point, validate=False)
+    rep = layout.dense(point)
     evaluated = evaluate(rep, a)
-    return SeparationWitness(
-        family, w, rep, nest, row, col, point, frequency,
-        complex(evaluated[row, col]), operator_norm(evaluated),
-    )
+    entry = complex(evaluated[row, col])
+    if not abs(entry) >= sys.float_info.min:
+        raise LimitError(f"witness entry {abs(entry)!r} (scale 2^-{w.length}) is "
+                         f"below the smallest normal double {sys.float_info.min!r}")
+    # The norm bounds every entry; the SVD of a tiny matrix can round it below.
+    value = max(operator_norm(evaluated), abs(entry))
+    return SeparationWitness(family, w, rep, nest, row, col, point, frequency, entry, value)
 
 
 # -- radical -----------------------------------------------------------------------

@@ -19,15 +19,16 @@ All constructions scale edges by ½ so the row operator is a strict
 contraction; the relation report distinguishes such contractive
 representations from partially isometric ones instead of erroring.  Each
 is decided once as a basis layout, in which every edge sends a basis vector
-to at most one other: the layout builds the dense matrices and reads an
-element's pairing entry as an exact polynomial in the parameters.
+to at most one other: the layout fills a representation's monomial storage
+(which the Fock representation shares), where the relation checks are
+closed forms, and reads an element's pairing entry as an exact polynomial.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -45,10 +46,8 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
     as_matrix,
-    is_orthogonal_projection,
     matrix_from_json,
     matrix_to_json,
-    operator_norm,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -61,106 +60,165 @@ UNIT_MODULUS_TOL = 1e-12
 DEFAULT_MAX_DEFECT_PATHS = 100_000
 
 
+def _squared(weights: np.ndarray) -> np.ndarray:
+    """|w|², as the diagonal of S S^* (or S^* S) holds it."""
+    return (weights * weights.conj()).real
+
+
+class _Images(Mapping):
+    """Read-only images by name: reading one builds its k×k matrix."""
+
+    __slots__ = ("names", "build")
+
+    def __init__(self, names: Mapping[str, int], build):
+        self.names, self.build = names, build
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name not in self.names:
+            raise KeyError(name)
+        return self.build(name)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.names)
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+
+def _from_dense(g: DirectedGraph, k: int, vertex_images, edge_images):
+    """The monomial form of dense images by name (see ``FiniteRepresentation``)."""
+    unknown = (set(vertex_images) - set(g.vertices)) | (set(edge_images) - set(g._edge_index))
+    if unknown:
+        raise ValueError(f"{sorted(map(repr, unknown))[0]} is not a vertex or edge of the graph")
+
+    def image(name: str, images) -> np.ndarray:
+        m = as_matrix(images[name]) if name in images else None
+        if m is None or m.shape != (k, k):
+            raise ValueError(f"the image of {name!r} is missing or has the wrong shape")
+        return m
+
+    labels = np.full(k, -1, dtype=np.intp)
+    for i, x in enumerate(g.vertices):
+        m = image(x, vertex_images)
+        ones = m.diagonal() == 1
+        if np.count_nonzero(m) != np.count_nonzero(ones):
+            raise ValueError(f"vertex {x!r} image is not a diagonal 0/1 projection")
+        if np.any(labels[ones] >= 0):
+            raise ValueError(f"vertex image of {x!r} overlaps another vertex image")
+        labels[ones] = i
+    names, rows = [], np.full((len(g.edges), k), -1, dtype=np.intp)
+    weights = np.zeros((len(g.edges), k), dtype=np.complex128)
+    for e in g.edges:
+        m = image(e.name, edge_images)
+        dst, cols = np.nonzero(m)
+        if len(set(dst.tolist())) < len(dst) or len(set(cols.tolist())) < len(cols):
+            raise ValueError(f"edge {e.name!r} image is not a weighted partial permutation")
+        if np.any(labels[cols] != g.vertex_index(e.source)) or np.any(
+            labels[dst] != g.vertex_index(e.target)
+        ):
+            raise ValueError(f"edge {e.name!r} image violates vertex covariance")
+        if cols.size:
+            rows[len(names), cols] = dst
+            weights[len(names), cols] = m[dst, cols]
+            names.append(e.name)
+    return labels, (names, rows[: len(names)], weights[: len(names)])
+
+
 class FiniteRepresentation:
-    """A representation by k×k complex matrices.
+    """A representation by k×k complex matrices, stored as weighted partial
+    maps: ``labels[i]`` indexes basis vector i's vertex in ``graph.vertices``
+    (or is -1), and a vertex maps to the projection onto its positions.  Row
+    i of ``rows`` and ``weights`` is the image of ``edge_names[i]`` (edges
+    with a nonzero image, in declaration order): basis vector j goes to
+    weights[i, j]·(basis vector rows[i, j]), or to 0 where rows[i, j] = -1,
+    injectively from its source's positions to its target's.  The read-only
+    views ``vertex_images`` and ``edge_images`` build one k×k matrix per key.
 
-    ``vertex_images`` and ``edge_images`` are total maps over the graph's
-    vertices and edges.  On construction (unless ``validate=False``) the
-    vertex images are checked to be pairwise-orthogonal projections and each
-    edge image E to satisfy E = P_{r(e)}·E·P_{s(e)} within ``tol.norm_tol``.
-
-    ``orientation`` records triangularity of the construction ("lower",
-    "upper", or None); ``fock_basis`` carries the basis labels for the
-    truncated left regular representation.
+    The constructor converts dense matrices by name, raising ``ValueError``
+    naming an image without that shape; the package's builders pass
+    ``labels`` and an ``(edge_names, rows, weights)`` table instead, which
+    their layouts satisfy by construction.  ``orientation`` is "lower",
+    "upper" or None; ``fock_basis`` is the truncated Fock basis, if any.
     """
 
-    __slots__ = ("graph", "dimension", "vertex_images", "edge_images", "orientation", "fock_basis")
+    __slots__ = ("graph", "dimension", "labels", "edge_names", "rows", "weights",
+                 "orientation", "fock_basis")
 
     def __init__(
-        self,
-        graph: DirectedGraph,
-        dimension: int,
-        vertex_images: Mapping[str, np.ndarray],
-        edge_images: Mapping[str, np.ndarray],
-        *,
-        orientation: str | None = None,
-        fock_basis=None,
-        tol: ToleranceConfig = DEFAULT_TOLERANCES,
-        validate: bool = True,
+        self, graph: DirectedGraph, dimension: int, vertex_images, edge_images,
+        *, orientation: str | None = None, fock_basis=None,
     ):
-        self.graph = graph
-        self.dimension = int(dimension)
-        self.vertex_images = {x: as_matrix(m) for x, m in vertex_images.items()}
-        self.edge_images = {e: as_matrix(m) for e, m in edge_images.items()}
+        k = int(dimension)
+        if not isinstance(vertex_images, np.ndarray):
+            vertex_images, edge_images = _from_dense(graph, k, vertex_images, edge_images)
+        names, rows, weights = edge_images
+        order = sorted(range(len(names)), key=lambda i: graph.edge_index(names[i]))
+        self.graph, self.dimension, self.labels = graph, k, vertex_images
+        self.edge_names = tuple(names[i] for i in order)
+        self.rows, self.weights = rows[order], weights[order]
+        self.orientation, self.fock_basis = orientation, fock_basis
 
-        k = self.dimension
-        for x in graph.vertices:
-            if x not in self.vertex_images:
-                raise ValueError(f"missing image for vertex {x!r}")
-            if self.vertex_images[x].shape != (k, k):
-                raise ValueError(f"vertex {x!r} image has wrong shape")
-        for e in graph.edges:
-            if e.name not in self.edge_images:
-                raise ValueError(f"missing image for edge {e.name!r}")
-            if self.edge_images[e.name].shape != (k, k):
-                raise ValueError(f"edge {e.name!r} image has wrong shape")
-        self.orientation = orientation
-        self.fock_basis = fock_basis
-        if validate:
-            self._validate(tol)
+    # The graph's own name -> index dicts serve as the views' key sets.
+    @property
+    def vertex_images(self) -> Mapping[str, np.ndarray]:
+        return _Images(self.graph._vertex_index, self._vertex_matrix)
 
-    def _validate(self, tol: ToleranceConfig):
-        names = list(self.graph.vertices)
-        for x in names:
-            if not is_orthogonal_projection(self.vertex_images[x], tol):
-                raise ValueError(f"vertex {x!r} image is not an orthogonal projection")
-        for i, x in enumerate(names):
-            for y in names[i + 1 :]:
-                if operator_norm(self.vertex_images[x] @ self.vertex_images[y]) > tol.norm_tol:
-                    raise ValueError(f"vertex images of {x!r} and {y!r} are not orthogonal")
-        for e in self.graph.edges:
-            s = self.edge_images[e.name]
-            framed = self.vertex_images[e.target] @ s @ self.vertex_images[e.source]
-            if operator_norm(s - framed) > tol.norm_tol:
-                raise ValueError(f"edge {e.name!r} image violates vertex covariance")
+    @property
+    def edge_images(self) -> Mapping[str, np.ndarray]:
+        return _Images(self.graph._edge_index, self._edge_matrix)
+
+    def _vertex_matrix(self, x: str) -> np.ndarray:
+        m = np.zeros((self.dimension,) * 2, dtype=np.complex128)
+        at = np.flatnonzero(self.labels == self.graph.vertex_index(x))
+        m[at, at] = 1.0
+        return m
+
+    def _edge_matrix(self, name: str) -> np.ndarray:
+        m = np.zeros((self.dimension,) * 2, dtype=np.complex128)
+        if name in self.edge_names:
+            i = self.edge_names.index(name)
+            cols = np.flatnonzero(self.rows[i] >= 0)
+            m[self.rows[i, cols], cols] = self.weights[i, cols]
+        return m
 
     # -- evaluation ----------------------------------------------------------
 
-    def image(self, name: str) -> np.ndarray:
-        """Image of a vertex or edge by name."""
-        if name in self.vertex_images:
-            return self.vertex_images[name]
-        if name in self.edge_images:
-            return self.edge_images[name]
-        raise KeyError(f"{name!r} is neither a vertex nor an edge of the graph")
+    def _sum(self, terms) -> np.ndarray:
+        """Σ c·ρ(p) over ``(p, c)`` in ``terms``: every position of p's source
+        walks p's edges, first walked first, until an edge sends it to 0 —
+        O(k·|p|) steps, below the k×k matrix filled."""
+        out = np.zeros((self.dimension,) * 2, dtype=np.complex128)
+        rows = dict(zip(self.edge_names, self.rows.tolist()))
+        weights = dict(zip(self.edge_names, self.weights.tolist()))
+        at: dict[int, list[int]] = {}
+        for i, x in enumerate(self.labels.tolist()):
+            at.setdefault(x, []).append(i)
+        for p, c in terms:
+            for col in at.get(self.graph.vertex_index(p.source), ()):
+                i, w = col, 1.0
+                for name in reversed(p.edges):
+                    step = rows.get(name)
+                    if step is None or step[i] < 0:
+                        break
+                    i, w = step[i], weights[name][i] * w
+                else:
+                    out[i, col] += c * w
+        return out
 
     def evaluate_path(self, p: Path) -> np.ndarray:
         """Matrix of a path: the product of edge images in composition
         order (a vertex path gives its projection)."""
-        if p.is_vertex:
-            return self.vertex_images[p.source]
-        m = self.edge_images[p.edges[0]]
-        for name in p.edges[1:]:
-            m = m @ self.edge_images[name]
-        return m
+        return self._sum([(p, 1.0)])
 
     # -- identity -------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteRepresentation):
             return NotImplemented
-        return (
-            self.graph == other.graph
-            and self.dimension == other.dimension
-            and self.orientation == other.orientation
-            and all(
-                np.array_equal(self.vertex_images[x], other.vertex_images[x])
-                for x in self.graph.vertices
-            )
-            and all(
-                np.array_equal(self.edge_images[e.name], other.edge_images[e.name])
-                for e in self.graph.edges
-            )
+        same = ("graph", "dimension", "orientation", "edge_names")
+        return all(getattr(self, a) == getattr(other, a) for a in same) and all(
+            np.array_equal(getattr(self, a), getattr(other, a))
+            for a in ("labels", "rows", "weights")
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -174,10 +232,7 @@ def evaluate(rep: FiniteRepresentation, a: "FormalElement") -> np.ndarray:
     """Extend the representation linearly to a formal element."""
     if rep.graph != a.graph:
         raise ValueError("representation and element live over different graphs")
-    out = np.zeros((rep.dimension, rep.dimension), dtype=np.complex128)
-    for p, c in a.items():
-        out += c * rep.evaluate_path(p)
-    return out
+    return rep._sum(a.items())
 
 
 @dataclass(frozen=True)
@@ -203,10 +258,6 @@ class NestStructure:
             out.append(acc)
             acc += b
         return tuple(out)
-
-    def block_slice(self, i: int) -> slice:
-        off = self.offsets[i]
-        return slice(off, off + self.block_sizes[i])
 
 
 def _check_unit_modulus(lam: complex) -> complex:
@@ -235,18 +286,15 @@ class _Layout:
     onto their labelled positions.  ``steps[e][col] = (row, axis)`` says the
     image of edge ``e`` sends basis vector ``col`` to ½·(basis vector
     ``row``), times the parameter on ``axis`` unless ``axis`` is None; every
-    other basis vector goes to 0.  Only ``dense`` and ``pairing`` read it.
+    other basis vector goes to 0.  Only ``dense``, which fills a
+    representation's monomial storage, and ``pairing`` read it.
     """
 
     __slots__ = ("graph", "labels", "steps", "axes", "orientation")
 
     def __init__(
-        self,
-        graph: DirectedGraph,
-        labels: Sequence[str],
-        entries: Sequence[tuple[str, int, int, int | None]],
-        axes: int,
-        orientation: str | None,
+        self, graph: DirectedGraph, labels: Sequence[str],
+        entries: Sequence[tuple[str, int, int, int | None]], axes: int, orientation: str | None,
     ):
         self.graph = graph
         self.labels = tuple(labels)
@@ -256,39 +304,33 @@ class _Layout:
         for name, col, row, axis in entries:
             self.steps.setdefault(name, {})[col] = (row, axis)
 
-    def dense(
-        self,
-        lambdas: Sequence[complex],
-        *,
-        tol: ToleranceConfig = DEFAULT_TOLERANCES,
-        validate: bool = True,
-    ) -> FiniteRepresentation:
-        """The representation by k×k matrices at one parameter per axis."""
+    def dense(self, lambdas: Sequence[complex]) -> FiniteRepresentation:
+        """The representation at one parameter per axis."""
         g = self.graph
         k = len(self.labels)
-        vertex_images = {x: np.zeros((k, k), dtype=np.complex128) for x in g.vertices}
-        edge_images = {e.name: np.zeros((k, k), dtype=np.complex128) for e in g.edges}
-        for i, x in enumerate(self.labels):
-            vertex_images[x][i, i] = 1.0
-        for name, cols in self.steps.items():
-            image = edge_images[name]
+        labels = np.array([g.vertex_index(x) for x in self.labels], dtype=np.intp)
+        halves = [0.5 * lam for lam in lambdas]
+        rows = np.full((len(self.steps), k), -1, dtype=np.intp)
+        weights = np.zeros((len(self.steps), k), dtype=np.complex128)
+        for i, cols in enumerate(self.steps.values()):
             for col, (row, axis) in cols.items():
-                image[row, col] = 0.5 if axis is None else 0.5 * lambdas[axis]
+                rows[i, col] = row
+                weights[i, col] = 0.5 if axis is None else halves[axis]
         return FiniteRepresentation(
-            g, k, vertex_images, edge_images,
-            orientation=self.orientation, tol=tol, validate=validate,
+            g, k, labels, (list(self.steps), rows, weights), orientation=self.orientation
         )
 
     def pairing(
         self, a: "FormalElement", col: int, row: int
-    ) -> dict[tuple[int, ...], complex]:
-        """Entry (row, col) of ``a`` as a polynomial ``{exponents: coefficient}``.
+    ) -> dict[tuple[int, ...], tuple[int, complex]]:
+        """Entry (row, col) of ``a`` as ``{exponents: (length, sum)}``.
 
         Each support path p walks basis vector ``col`` once; if it arrives at
-        ``row`` it adds c_p·2^-|p| at the multi-frequency counting how often
-        it stepped along each axis.
+        ``row`` it adds c_p at the multi-frequency counting its steps along
+        each axis.  All such paths have one length, so the entry's
+        coefficient there is 2^-length times the sum, which stays exact.
         """
-        poly: dict[tuple[int, ...], complex] = {}
+        poly: dict[tuple[int, ...], tuple[int, complex]] = {}
         for p, c in a.items():
             if self.labels[col] != p.source:
                 continue
@@ -303,13 +345,11 @@ class _Layout:
             else:
                 if i == row:
                     key = tuple(exponents)
-                    poly[key] = poly.get(key, 0j) + c * 0.5 ** p.length
+                    poly[key] = (p.length, poly.get(key, (0, 0j))[1] + c)
         return poly
 
 
-def _cycle_entries(
-    g: DirectedGraph, u: Path, offset: int, axis: int
-) -> tuple[list[str], list[tuple[str, int, int, int | None]]]:
+def _cycle_entries(g: DirectedGraph, u: Path, offset: int, axis: int):
     """Labels and edge steps of the cycle basis h_1 … h_k of ``u``, placed
     from ``offset``: h_j sits at the source of the j-th walked edge, which
     sends it to ½·h_{j+1}; the wrap-around h_{k+1} means λ·h_1."""
@@ -338,14 +378,7 @@ def _carrier(g: DirectedGraph, seg: Path) -> tuple[Path, int, int]:
 # -- cycle representation -------------------------------------------------------
 
 
-def phi_cycle(
-    g: DirectedGraph,
-    u: Path,
-    lam: complex,
-    *,
-    tol: ToleranceConfig = DEFAULT_TOLERANCES,
-    validate: bool = True,
-) -> FiniteRepresentation:
+def phi_cycle(g: DirectedGraph, u: Path, lam: complex) -> FiniteRepresentation:
     """The k-dimensional representation attached to a cycle u of length k.
 
     Basis vectors h_1 …​ h_k follow the cycle's walk: the vertex of h_j is
@@ -357,7 +390,7 @@ def phi_cycle(
     if u.length < 1 or not u.is_cycle:
         raise PreconditionError(f"phi_cycle needs a cycle of length ≥ 1, got {u!r}")
     lam = _check_unit_modulus(lam)
-    return _cycle_layout(g, u).dense([lam], tol=tol, validate=validate)
+    return _cycle_layout(g, u).dense([lam])
 
 
 # -- block nest representation -----------------------------------------------------
@@ -447,12 +480,7 @@ def nest_plan(g: DirectedGraph, w: Path) -> NestPlan:
 
 
 def rho_nest(
-    g: DirectedGraph,
-    w: Path,
-    lambdas: Sequence[complex],
-    *,
-    tol: ToleranceConfig = DEFAULT_TOLERANCES,
-    validate: bool = True,
+    g: DirectedGraph, w: Path, lambdas: Sequence[complex]
 ) -> tuple[FiniteRepresentation, NestStructure]:
     """Block lower-triangular representation attached to a path.
 
@@ -465,7 +493,7 @@ def rho_nest(
     """
     plan = nest_plan(g, w)
     lams = _check_parameters(lambdas, len(plan.blocks), "block")
-    rep = plan.layout.dense(lams, tol=tol, validate=validate)
+    rep = plan.layout.dense(lams)
     return rep, NestStructure(plan.block_sizes)
 
 
@@ -550,8 +578,6 @@ def psi_upper(
     loop_choice: Mapping[str, str] | None = None,
     *,
     require_distinct: bool = True,
-    tol: ToleranceConfig = DEFAULT_TOLERANCES,
-    validate: bool = True,
 ) -> FiniteRepresentation:
     """Triangular representation on k = |w|+1 dimensions from a walk w that
     avoids designated loops.
@@ -575,22 +601,18 @@ def psi_upper(
                     raise PreconditionError(
                         "diagonal parameters must be pairwise distinct"
                     )
-    return plan.layout.dense(lams, tol=tol, validate=validate)
+    return plan.layout.dense(lams)
 
 
 def reverse_basis(rep: FiniteRepresentation) -> FiniteRepresentation:
     """Conjugate by the basis-reversal permutation, turning block lower
     triangular images into block upper triangular ones (and back)."""
-    perm = np.arange(rep.dimension)[::-1]
+    k = rep.dimension
     flip = {"lower": "upper", "upper": "lower", None: None}
+    rows = np.where(rep.rows >= 0, k - 1 - rep.rows, -1)[:, ::-1]
     return FiniteRepresentation(
-        rep.graph,
-        rep.dimension,
-        {x: m[np.ix_(perm, perm)] for x, m in rep.vertex_images.items()},
-        {e: m[np.ix_(perm, perm)] for e, m in rep.edge_images.items()},
-        orientation=flip.get(rep.orientation, rep.orientation),
-        fock_basis=rep.fock_basis,
-        validate=False,
+        rep.graph, k, rep.labels[::-1], (rep.edge_names, rows, rep.weights[:, ::-1]),
+        orientation=flip.get(rep.orientation, rep.orientation), fock_basis=rep.fock_basis,
     )
 
 
@@ -615,12 +637,7 @@ def _next_prime(n: int) -> int:
 
 
 def n_nest_truncation(
-    g: DirectedGraph,
-    prefix_len: int,
-    seed: int,
-    *,
-    tol: ToleranceConfig = DEFAULT_TOLERANCES,
-    max_paths: int = 100_000,
+    g: DirectedGraph, prefix_len: int, seed: int, *, max_paths: int = 100_000
 ) -> FiniteRepresentation:
     """Finite corner of the naturally ordered nest construction.
 
@@ -688,7 +705,7 @@ def n_nest_truncation(
         cmath.exp(2j * cmath.pi * ((seed + j) % order) / order)
         for j in plan.loop_positions
     ]
-    return plan.layout.dense(lambdas, tol=tol)
+    return plan.layout.dense(lambdas)
 
 
 # -- diagnostics -----------------------------------------------------------------------
@@ -715,16 +732,20 @@ class RelationReport:
     norm_tol: float
     restriction: str | None = None
 
-    def _ok(self, residuals) -> bool:
-        return all(v <= self.norm_tol for v in residuals.values())
+    @property
+    def _residuals(self) -> dict[str, dict]:
+        return {
+            "vertex_projections_orthogonal": self.vertex_orthogonality,
+            "edge_ranges_orthogonal": self.edge_orthogonality,
+            "edges_partial_isometries": self.edge_isometry,
+            "range_sum_dominated": self.range_bound,
+        }
 
     @property
     def verdicts(self) -> dict[str, bool]:
         return {
-            "vertex_projections_orthogonal": self._ok(self.vertex_orthogonality),
-            "edge_ranges_orthogonal": self._ok(self.edge_orthogonality),
-            "edges_partial_isometries": self._ok(self.edge_isometry),
-            "range_sum_dominated": self._ok(self.range_bound),
+            name: all(v <= self.norm_tol for v in residuals.values())
+            for name, residuals in self._residuals.items()
         }
 
     @property
@@ -734,23 +755,13 @@ class RelationReport:
     @property
     def is_contractive(self) -> bool:
         """Relations 1, 2, 4 hold (the shape a ½-scaled construction has)."""
-        v = self.verdicts
-        return (
-            v["vertex_projections_orthogonal"]
-            and v["edge_ranges_orthogonal"]
-            and v["range_sum_dominated"]
-        )
+        return all(ok for name, ok in self.verdicts.items() if name != "edges_partial_isometries")
 
     def to_json(self) -> dict:
-        def m(residuals):
-            return max(residuals.values(), default=0.0)
-
         return {
             "max_residuals": {
-                "vertex_projections_orthogonal": m(self.vertex_orthogonality),
-                "edge_ranges_orthogonal": m(self.edge_orthogonality),
-                "edges_partial_isometries": m(self.edge_isometry),
-                "range_sum_dominated": m(self.range_bound),
+                name: max(residuals.values(), default=0.0)
+                for name, residuals in self._residuals.items()
             },
             "verdicts": self.verdicts,
             "partially_isometric": self.is_partially_isometric,
@@ -768,110 +779,108 @@ def check_relations(
     residual to the coordinate subspace ``restrict_interior`` (used to check
     the truncated left regular representation away from its boundary).
 
-    The residuals are formed from the full matrices and compressed
-    afterwards, so products that pass through the complement are still
-    accounted exactly on the retained coordinates."""
-    g = rep.graph
-    if restrict_interior is not None:
-        idx = list(restrict_interior)
-        note = f"compressed to {len(idx)} of {rep.dimension} coordinates"
+    Residuals come from the exact partial maps, compressed afterwards, so
+    products through the complement still count.  Vertex projections never
+    overlap; S_e^* S_f is a partial map (norm: its largest modulus) that
+    vanishes unless e and f share a target; the other two are diagonal.
+    """
+    g, k, labels, live = rep.graph, rep.dimension, rep.labels, rep.rows >= 0
+    idx = range(k) if restrict_interior is None else list(restrict_interior)
+    note = None if restrict_interior is None else f"compressed to {len(idx)} of {k} coordinates"
+    kept = np.zeros(k, dtype=bool)
+    kept[idx] = True
+    squared = _squared(rep.weights)
+    names, edge_names = list(g.vertices), [e.name for e in g.edges]
+    ends = [g.edge(name) for name in rep.edge_names]
 
-        def c(m):
-            return m[np.ix_(idx, idx)]
+    vertex_orth = {(x, y): 0.0 for i, x in enumerate(names) for y in names[i + 1 :]}
+    edge_orth = {(e, f): 0.0 for i, e in enumerate(edge_names) for f in edge_names[i + 1 :]}
+    for j, f in enumerate(ends):
+        for i, e in enumerate(ends[:j]):
+            if e.target == f.target:
+                mate = np.full(k + 1, -1, dtype=np.intp)  # row of e -> column
+                mate[rep.rows[i]] = np.arange(k)
+                cols = np.flatnonzero(live[j] & kept)
+                i_cols = mate[rep.rows[j, cols]]
+                met = (i_cols >= 0) & kept[i_cols]
+                z = rep.weights[i, i_cols[met]].conj() * rep.weights[j, cols[met]]
+                # |z| rounded once from extended precision, as LAPACK's dznrm2
+                # rounds one entry (np.abs can be one unit in the last place off).
+                re, im = z.real.astype(np.longdouble), z.imag.astype(np.longdouble)
+                modulus = np.sqrt(re * re + im * im).astype(np.float64)
+                edge_orth[e.name, f.name] = float(modulus.max(initial=0.0))
 
-    else:
-        note = None
+    # An edge acting by 0 leaves −P_{s(e)}; the others add |w|² where they map.
+    covered = np.zeros(len(names), dtype=bool)
+    covered[labels[kept & (labels >= 0)]] = True
+    edge_iso = {e.name: float(covered[g.vertex_index(e.source)]) for e in g.edges}
+    source = np.array([g.vertex_index(e.source) for e in ends], dtype=np.intp)
+    defect = np.abs(np.where(live, squared, 0.0) - (labels == source[:, None]))
+    edge_iso.update(zip(rep.edge_names, defect[:, kept].max(axis=1, initial=0.0).tolist()))
 
-        def c(m):
-            return m
-
-    ps = rep.vertex_images
-    ss = rep.edge_images
-
-    vertex_orth = {}
-    names = list(g.vertices)
-    for i, x in enumerate(names):
-        for y in names[i + 1 :]:
-            vertex_orth[(x, y)] = operator_norm(c(ps[x] @ ps[y]))
-    edge_orth = {}
-    edge_names = [e.name for e in g.edges]
-    for i, e in enumerate(edge_names):
-        for f in edge_names[i + 1 :]:
-            edge_orth[(e, f)] = operator_norm(c(ss[e].conj().T @ ss[f]))
-    edge_iso = {
-        e.name: operator_norm(c(ss[e.name].conj().T @ ss[e.name] - ps[e.source]))
-        for e in g.edges
-    }
-    range_bound = {}
-    for x in names:
-        acc = -ps[x].astype(np.complex128)
-        for e in g.in_edges(x):
-            acc = acc + ss[e.name] @ ss[e.name].conj().T
-        compressed = c((acc + acc.conj().T) / 2)
-        if compressed.size == 0:
-            range_bound[x] = 0.0
-        else:
-            top = float(np.linalg.eigvalsh(compressed).max())
-            range_bound[x] = max(0.0, top)
+    # Each position has one label and an edge reaches only positions of its
+    # target, so one diagonal holds Σ_{r(e)=x} S_e S_e^* − P_x for every x.
+    ranges = -(labels >= 0).astype(np.float64)
+    np.add.at(ranges, rep.rows[live], squared[live])
+    top = np.zeros(len(names))
+    np.maximum.at(top, labels[kept & (labels >= 0)], ranges[kept & (labels >= 0)])
     return RelationReport(
         vertex_orthogonality=vertex_orth,
         edge_orthogonality=edge_orth,
         edge_isometry=edge_iso,
-        range_bound=range_bound,
+        range_bound=dict(zip(names, top.tolist())),
         norm_tol=tol.norm_tol,
         restriction=note,
     )
 
 
 def purity_defect(
-    rep: FiniteRepresentation,
-    d: int,
-    *,
-    max_paths: int = DEFAULT_MAX_DEFECT_PATHS,
+    rep: FiniteRepresentation, d: int, *, max_paths: int = DEFAULT_MAX_DEFECT_PATHS
 ) -> float:
     """‖Σ over paths p of length d of ρ(p)ρ(p)^*‖.
 
-    Walks the paths explicitly with incremental products, dropping exactly
-    vanishing partial products; raises a limit error if the surviving path
-    count exceeds ``max_paths``.
+    Walks the paths explicitly with incremental products of partial maps,
+    dropping exactly vanishing partial products; raises a limit error if
+    the surviving path count exceeds ``max_paths``.  The sum is diagonal.
     """
     if d < 1:
         raise ValueError("depth must be ≥ 1")
-    g = rep.graph
-    frontier = [
-        (e.target, rep.edge_images[e.name])
-        for e in g.edges
-        if np.count_nonzero(rep.edge_images[e.name])
-    ]
+    g, m = rep.graph, len(rep.edge_names)
+    # A dead column appended to each map: row -1 indexes it, so products
+    # keep -1 and weight 0 there.
+    rows_of = np.hstack([rep.rows, np.full((m, 1), -1, dtype=np.intp)])
+    weights_of = np.hstack([rep.weights, np.zeros((m, 1), dtype=np.complex128)])
+    ends = [g.edge(name) for name in rep.edge_names]
+    out_of = [[i for i, e in enumerate(ends) if e.source == x] for x in g.vertices]
+    target_of = np.array([g.vertex_index(e.target) for e in ends], dtype=np.intp)
+    # The frontier: each surviving path's partial map and its end vertex.
+    rows, weights, at = rows_of, weights_of, target_of
     for _ in range(d - 1):
-        nxt = []
-        for v, m in frontier:
-            for e in g.out_edges(v):
-                prod = rep.edge_images[e.name] @ m
-                if np.count_nonzero(prod):
-                    nxt.append((e.target, prod))
-                    if len(nxt) > max_paths:
-                        raise LimitError(
-                            f"purity walk exceeded {max_paths} surviving paths"
-                        )
-        frontier = nxt
-        if not frontier:
-            break
-    acc = np.zeros((rep.dimension, rep.dimension), dtype=np.complex128)
-    for _, m in frontier:
-        acc += m @ m.conj().T
-    return operator_norm(acc)
+        pairs = [(p, i) for p, v in enumerate(at.tolist()) for i in out_of[v]]
+        path, edge = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        # S_e·ρ(p): column j goes where ρ(p) sends it, then where e sends that.
+        via = rows[path]
+        rows = np.take_along_axis(rows_of[edge], via, axis=1)
+        weights = np.take_along_axis(weights_of[edge], via, axis=1) * weights[path]
+        live = (rows >= 0) & (weights != 0)
+        survive = live.any(axis=1)
+        if np.count_nonzero(survive) > max_paths:
+            raise LimitError(f"purity walk exceeded {max_paths} surviving paths")
+        rows, weights = np.where(live, rows, -1)[survive], weights[survive]
+        at = target_of[edge[survive]]
+    acc = np.zeros(rep.dimension + 1)
+    np.add.at(acc, rows, _squared(weights))
+    return float(acc[:-1].max(initial=0.0))
 
 
 def is_coisometric(
     rep: FiniteRepresentation, tol: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> bool:
     """True when the edge row operator is a coisometry: Σ S_e S_e^* = I."""
-    acc = -np.eye(rep.dimension, dtype=np.complex128)
-    for e in rep.graph.edges:
-        s = rep.edge_images[e.name]
-        acc += s @ s.conj().T
-    return operator_norm(acc) <= tol.norm_tol
+    live = rep.rows >= 0
+    acc = -np.ones(rep.dimension)
+    np.add.at(acc, rep.rows[live], _squared(rep.weights[live]))
+    return float(np.abs(acc).max(initial=0.0)) <= tol.norm_tol
 
 
 # -- JSON encoding -----------------------------------------------------------------
@@ -894,7 +903,4 @@ def rep_from_json(g: DirectedGraph, obj) -> FiniteRepresentation:
         edge_images = {e: matrix_from_json(m) for e, m in obj["edge_images"].items()}
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed representation JSON: {exc}") from exc
-    return FiniteRepresentation(
-        g, dim, vertex_images, edge_images,
-        orientation=orientation, validate=False,
-    )
+    return FiniteRepresentation(g, dim, vertex_images, edge_images, orientation=orientation)

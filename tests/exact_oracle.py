@@ -8,6 +8,12 @@ floating-point rank decision.  The cycle-representation builder here is a
 separate, direct transcription of the defining formulas, used to
 cross-check the package's construction entry by entry.
 
+The dense builders and checks take representations the slow way: every
+vertex and edge image is a k×k matrix, filled from a family's basis layout
+or from the truncated Fock basis, validated with per-pair operator norms,
+and measured with dense products, SVDs and eigenvalues.  They check the
+package's monomial storage, which builds no k×k array for these.
+
 The sampled recoveries at the end take each path coefficient the slow way:
 they build the dense representation at every point of a root-of-unity grid
 sized from the element's degree, read the pairing entry there, and take
@@ -213,6 +219,152 @@ def component_by_definition(g, table, x):
     return members, "Cycle" if single else "StronglyTransitive"
 
 
+# -- dense representations --------------------------------------------------------
+
+
+def dense_from_layout(layout, lambdas):
+    """``(vertex_images, edge_images)`` of a basis layout at one parameter per
+    axis, as k×k matrices over every vertex and edge of its graph."""
+    g = layout.graph
+    k = len(layout.labels)
+    vertex_images = {x: np.zeros((k, k), dtype=np.complex128) for x in g.vertices}
+    edge_images = {e.name: np.zeros((k, k), dtype=np.complex128) for e in g.edges}
+    for i, x in enumerate(layout.labels):
+        vertex_images[x][i, i] = 1.0
+    for name, cols in layout.steps.items():
+        image = edge_images[name]
+        for col, (row, axis) in cols.items():
+            image[row, col] = 0.5 if axis is None else 0.5 * lambdas[axis]
+    return vertex_images, edge_images
+
+
+def dense_fock(g, d):
+    """``(basis, vertex_images, edge_images)`` of the truncated left regular
+    representation: ξ_w at r(w), and ξ_w -> ξ_{ew} while |ew| <= d."""
+    basis = gn.truncated_fock_basis(g, d)
+    n = basis.dimension
+    vertex_images = {}
+    for x in g.vertices:
+        m = np.zeros((n, n), dtype=np.complex128)
+        for i, w in enumerate(basis.paths):
+            if w.target == x:
+                m[i, i] = 1.0
+        vertex_images[x] = m
+    edge_images = {}
+    for e in g.edges:
+        m = np.zeros((n, n), dtype=np.complex128)
+        ep = g.edge_path(e.name)
+        for i, w in enumerate(basis.paths):
+            if w.target == e.source and w.length + 1 <= d:
+                m[basis.index(gn.compose(ep, w)), i] = 1.0
+        edge_images[e.name] = m
+    return basis, vertex_images, edge_images
+
+
+def validate_dense(g, ps, ss, norm_tol=1e-9):
+    """Raise ValueError unless the vertex images are pairwise orthogonal
+    projections and each edge image E satisfies E = P_r(e)·E·P_s(e)."""
+    names = list(g.vertices)
+    for x in names:
+        if not gn.is_orthogonal_projection(ps[x]):
+            raise ValueError(f"vertex {x!r} image is not an orthogonal projection")
+    for i, x in enumerate(names):
+        for y in names[i + 1 :]:
+            if gn.operator_norm(ps[x] @ ps[y]) > norm_tol:
+                raise ValueError(f"vertex images of {x!r} and {y!r} are not orthogonal")
+    for e in g.edges:
+        s = ss[e.name]
+        framed = ps[e.target] @ s @ ps[e.source]
+        if gn.operator_norm(s - framed) > norm_tol:
+            raise ValueError(f"edge {e.name!r} image violates vertex covariance")
+
+
+def check_relations_dense(g, ps, ss, restrict_interior=None):
+    """Residual dicts of the four relations (vertex orthogonality, edge
+    orthogonality, edge isometry, range bound), each formed from the full
+    matrices and compressed afterwards to ``restrict_interior``."""
+    if restrict_interior is not None:
+        idx = list(restrict_interior)
+
+        def c(m):
+            return m[np.ix_(idx, idx)]
+
+    else:
+
+        def c(m):
+            return m
+
+    vertex_orth = {}
+    names = list(g.vertices)
+    for i, x in enumerate(names):
+        for y in names[i + 1 :]:
+            vertex_orth[(x, y)] = gn.operator_norm(c(ps[x] @ ps[y]))
+    edge_orth = {}
+    edge_names = [e.name for e in g.edges]
+    for i, e in enumerate(edge_names):
+        for f in edge_names[i + 1 :]:
+            edge_orth[(e, f)] = gn.operator_norm(c(ss[e].conj().T @ ss[f]))
+    edge_iso = {
+        e.name: gn.operator_norm(c(ss[e.name].conj().T @ ss[e.name] - ps[e.source]))
+        for e in g.edges
+    }
+    range_bound = {}
+    for x in names:
+        acc = -ps[x].astype(np.complex128)
+        for e in g.in_edges(x):
+            acc = acc + ss[e.name] @ ss[e.name].conj().T
+        compressed = c((acc + acc.conj().T) / 2)
+        if compressed.size == 0:
+            range_bound[x] = 0.0
+        else:
+            range_bound[x] = max(0.0, float(np.linalg.eigvalsh(compressed).max()))
+    return vertex_orth, edge_orth, edge_iso, range_bound
+
+
+def purity_defect_dense(g, ss, k, d, max_paths=100_000):
+    """‖Σ_{|p|=d} ρ(p)ρ(p)^*‖ by incremental dense products, dropping
+    exactly vanishing ones; LimitError past ``max_paths`` survivors."""
+    frontier = [(e.target, ss[e.name]) for e in g.edges if np.count_nonzero(ss[e.name])]
+    for _ in range(d - 1):
+        nxt = []
+        for v, m in frontier:
+            for e in g.out_edges(v):
+                prod = ss[e.name] @ m
+                if np.count_nonzero(prod):
+                    nxt.append((e.target, prod))
+                    if len(nxt) > max_paths:
+                        raise gn.LimitError(f"purity walk exceeded {max_paths} surviving paths")
+        frontier = nxt
+        if not frontier:
+            break
+    acc = np.zeros((k, k), dtype=np.complex128)
+    for _, m in frontier:
+        acc += m @ m.conj().T
+    return gn.operator_norm(acc)
+
+
+def is_coisometric_dense(g, ss, k, norm_tol=1e-9):
+    """Whether Σ S_e S_e^* = I within ``norm_tol`` in operator norm."""
+    acc = -np.eye(k, dtype=np.complex128)
+    for e in g.edges:
+        acc += ss[e.name] @ ss[e.name].conj().T
+    return gn.operator_norm(acc) <= norm_tol
+
+
+def evaluate_dense(ps, ss, k, a):
+    """Σ c_p ρ(p), each path a product of edge images in composition order."""
+    out = np.zeros((k, k), dtype=np.complex128)
+    for p, c in a.items():
+        if p.is_vertex:
+            m = ps[p.source]
+        else:
+            m = ss[p.edges[0]]
+            for name in p.edges[1:]:
+                m = m @ ss[name]
+        out += c * m
+    return out
+
+
 # -- sampled recovery ------------------------------------------------------------
 
 
@@ -252,7 +404,7 @@ def recover_irreducible_sampled(g, a, w, oversample=1):
     row, freq = w.length % k, w.length // k
     count = oversample * (1 + max(freq, max(0, (gn.degree(a) - w.length) // k)))
     coeff = _sampled_coefficient(
-        lambda point: gn.phi_cycle(g, root, point[0], validate=False),
+        lambda point: gn.phi_cycle(g, root, point[0]),
         a, row, 0, (count,), (freq,),
     )
     return (2.0 ** w.length) * coeff
@@ -270,7 +422,7 @@ def recover_nest_sampled(g, a, w, oversample=1):
         for b in plan.blocks
     )
     coeff = _sampled_coefficient(
-        lambda point: gn.rho_nest(g, w, point, validate=False)[0],
+        lambda point: gn.rho_nest(g, w, point)[0],
         a, plan.exit_index, plan.entry_index, counts, plan.frequencies,
     )
     return (2.0 ** w.length) * coeff
@@ -299,7 +451,7 @@ def recover_upper_sampled(g, a, v, loop_choice=None, oversample=1):
         counts.append(oversample * (1 + max(m_j, min(occurrences, slack))))
     coeff = _sampled_coefficient(
         lambda point: gn.psi_upper(
-            g, skeleton, point, loop_choice, require_distinct=False, validate=False
+            g, skeleton, point, loop_choice, require_distinct=False
         ),
         a, plan.k - 1, 0, tuple(counts), frequency,
     )

@@ -183,6 +183,26 @@ def test_separation_grid_past_the_cap_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_subnormal_witness_entry_exits_2(tmp_path):
+    # 1e-20 * 2^-1000 is subnormal: no witness with |entry| > 0 can be trusted
+    elem = tmp_path / "tiny.json"
+    elem.write_text(json.dumps({"terms": [{"coeff": [1e-20, 0.0], "path": ["a"] * 1000}]}))
+    proc = run_cli("separate", P2, str(elem), "--family", "nest")
+    assert proc.returncode == 2
+    assert "below the smallest normal double" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    proc = run_cli("recover", P2, str(elem), ",".join(["a"] * 1000), "--family", "nest")
+    assert proc.returncode == 0
+    assert proc.stdout == "1e-20 0.0\n"
+
+
+def test_rank_tolerance_flag_is_gone():
+    proc = run_cli("rep", P2, "fock", "--depth", "1", "--rank-tol", "1e-9")
+    assert proc.returncode == 2
+    assert "--rank-tol" in proc.stderr
+    assert run_cli("rep", P2, "fock", "--depth", "1", "--norm-tol", "1e-9").returncode == 0
+
+
 def test_missing_file_exits_3():
     proc = run_cli("classify", str(FIXTURES / "no_such.graph"))
     assert proc.returncode == 3

@@ -1,6 +1,7 @@
 """Coefficient recovery, separating witnesses, and radical membership."""
 
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -138,6 +139,28 @@ def test_longest_path_below_the_cap_recovers(p2):
         assert wit.frequency == (1022,)
         assert abs(abs(wit.entry_value) * 2.0 ** 1022 - 1.0) <= 1e-9
         assert wit.value >= abs(wit.entry_value) > 0
+
+
+@pytest.mark.parametrize("coeff", [1e-300, 1e-20, -3.5e-308j])
+def test_tiny_coefficients_on_long_paths_recover_exactly(p2, coeff):
+    # c * 2^-1000 leaves the normal doubles; the pairing keeps c apart
+    w = p2.path_from_traversal(["a"] * 1000)
+    a = gn.FormalElement(p2, [(w, coeff), (p2.path_from_traversal(["b"]), 1.0)])
+    for recover in (gn.recover_irreducible, gn.recover_nest, gn.recover_upper):
+        assert recover(p2, a, w) == coeff
+
+
+@pytest.mark.parametrize("coeff", [1e-300, 1e-20])
+def test_subnormal_witness_entry_raises_limit_error(p2, coeff):
+    a = gn.FormalElement.single(p2, p2.path_from_traversal(["a"] * 1000), coeff)
+    for family in ("irreducible", "nest", "upper"):
+        with pytest.raises(gn.LimitError, match="below the smallest normal double"):
+            gn.separate(p2, a, family)
+    # a coefficient that keeps the entry normal still separates
+    a = gn.FormalElement.single(p2, p2.path_from_traversal(["a"] * 1000), 1e-5)
+    for family in ("irreducible", "nest", "upper"):
+        wit = gn.separate(p2, a, family)
+        assert wit.value >= abs(wit.entry_value) >= sys.float_info.min
 
 
 def test_separation_grid_past_the_cap_raises_limit_error():

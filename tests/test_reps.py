@@ -436,6 +436,15 @@ def test_purity_defect_path_cap(p2):
         gn.purity_defect(rep, 30, max_paths=100)
 
 
+def test_purity_walk_drops_vanishing_paths(p2):
+    # in a cycle representation each basis vector survives along one path,
+    # so the walk keeps 2 of the 2^d paths of length d
+    rep = gn.phi_cycle(p2, p2.path_from_traversal(["a", "b"]), unit_lambda(1, 5))
+    assert gn.purity_defect(rep, 12, max_paths=2) == pytest.approx(4.0 ** -12, abs=1e-20)
+    with pytest.raises(gn.LimitError):
+        gn.purity_defect(rep, 12, max_paths=1)
+
+
 def test_is_coisometric(p2):
     r = 1.0 / np.sqrt(2.0)
     rep = gn.FiniteRepresentation(
@@ -460,3 +469,81 @@ def test_rep_json_round_trip(p2):
         assert gn.matrices_equal(back.vertex_images[x], rep.vertex_images[x], 0.0)
     for e in ("a", "b"):
         assert gn.matrices_equal(back.edge_images[e], rep.edge_images[e], 0.0)
+
+
+def test_rep_from_json_rejects_what_is_not_a_monomial_representation():
+    g = gn.parse_graph("vertex v\nvertex w\nedge a v v\nedge b v w\n")
+    ok = {
+        "dimension": 2,
+        "orientation": None,
+        "vertex_images": {
+            "v": gn.matrix_to_json(np.diag([1.0 + 0j, 0.0])),
+            "w": gn.matrix_to_json(np.diag([0.0j, 1.0])),
+        },
+        "edge_images": {
+            "a": gn.matrix_to_json(np.array([[0.5, 0], [0, 0]], dtype=complex)),
+            "b": gn.matrix_to_json(np.array([[0, 0], [0.5, 0]], dtype=complex)),
+        },
+    }
+    gn.rep_from_json(g, ok)
+
+    def altered(part, name, matrix):
+        image = gn.matrix_to_json(np.array(matrix, dtype=complex))
+        return {**ok, part: {**ok[part], name: image}}
+
+    bad = [
+        # two nonzeros in one column
+        (altered("edge_images", "a", [[0.5, 0], [0.5, 0]]), "partial permutation"),
+        # an entry outside the source and target positions
+        (altered("edge_images", "b", [[0.5, 0], [0, 0]]), "covariance"),
+        # a non-0/1 vertex diagonal
+        (altered("vertex_images", "w", [[0, 0], [0, 0.5]]), "0/1 projection"),
+        # overlapping vertex images
+        (altered("vertex_images", "w", [[1, 0], [0, 1]]), "overlap"),
+    ]
+    for obj, message in bad:
+        with pytest.raises(ValueError, match=message):
+            gn.rep_from_json(g, obj)
+
+
+def test_dense_constructor_converts_exact_weighted_partial_permutations(p2):
+    v = np.eye(2, dtype=complex)
+    swap = np.array([[0, 0.5j], [0.25, 0]])
+    rep = gn.FiniteRepresentation(p2, 2, {"v": v}, {"a": swap, "b": np.zeros((2, 2))})
+    assert np.array_equal(rep.edge_images["a"], swap)
+    assert not np.any(rep.edge_images["b"])
+    # the same facts through another representation's views
+    assert gn.FiniteRepresentation(p2, 2, rep.vertex_images, rep.edge_images) == rep
+    rejected = {
+        "non-diagonal projection": ({"v": np.full((2, 2), 0.5)}, {"a": swap, "b": swap}),
+        "two nonzeros in one row": ({"v": v}, {"a": [[0.5, 0.5], [0, 0]], "b": swap}),
+        "missing edge": ({"v": v}, {"a": swap}),
+        "unknown edge": ({"v": v}, {"a": swap, "b": swap, "c": swap}),
+        "wrong shape": ({"v": v}, {"a": np.zeros((3, 3)), "b": swap}),
+    }
+    for why, (vertex_images, edge_images) in rejected.items():
+        with pytest.raises(ValueError):
+            gn.FiniteRepresentation(p2, 2, vertex_images, edge_images)
+
+
+def test_images_are_read_only_views_built_per_key(p2):
+    rep = gn.truncated_left_regular(p2, 3)
+    assert len(rep.edge_images) == 2 and len(rep.vertex_images) == 1
+    assert "a" in rep.edge_images and "v" not in rep.edge_images
+    with pytest.raises(TypeError):
+        rep.edge_images["a"] = np.eye(rep.dimension)
+    with pytest.raises(KeyError):
+        rep.edge_images["c"]
+    image = rep.edge_images["a"]
+    image[:] = 7
+    assert np.count_nonzero(rep.edge_images["a"]) == 7  # ξ_w -> ξ_aw for |w| < 3
+    assert np.array_equal(rep.vertex_images["v"], np.eye(rep.dimension))
+
+
+def test_reverse_basis_twice_is_the_identity(scc_chain):
+    w = scc_chain.path_from_traversal(["a", "e", "c", "f", "h", "d"])
+    lams = [unit_lambda(j + 1, 9) for j in range(len(gn.nest_plan(scc_chain, w).blocks))]
+    rep, _ = gn.rho_nest(scc_chain, w, lams)
+    flipped = gn.reverse_basis(rep)
+    assert flipped != rep
+    assert gn.reverse_basis(flipped) == rep
