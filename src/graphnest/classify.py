@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .graphs import (
     ComponentClass,
+    Condensation,
     DirectedGraph,
     condensation,
     is_transitive_in_components,
@@ -108,28 +109,15 @@ def check_faithful_nest_conditions(g: DirectedGraph) -> FaithfulNestConditions:
         comp.component_class is not ComponentClass.CYCLE for comp in cond.components
     )
 
-    order = [i for i in topo if cond.components[i].is_trivial]
-    if not order:
+    if not any(comp.is_trivial for comp in cond.components):
         return FaithfulNestConditions(c1, c2, True, c3_vacuous=True)
 
-    # The trivial components are totally ordered exactly when each reaches
-    # the next in topological order; that order is then their chain order.
-    ok = all(reach[a] >> b & 1 for a, b in zip(order, order[1:]))
-
-    if ok:
-        chain = [cond.components[i].vertices[0] for i in order]
-        chain_set = set(chain)
-        expected = list(zip(chain, chain[1:]))
-        seen: list[tuple[str, str]] = []
-        for e in g.edges:
-            if e.source in chain_set and e.target in chain_set:
-                seen.append((e.source, e.target))
-        ok = sorted(seen) == sorted(expected)
-
+    chain = _trivial_chain(g, cond)
+    ok = chain is not None
     if ok:
         # Along the chain, some trivial component reaches c iff the head
         # does, and c reaches some trivial component iff it reaches the tail.
-        head, tail = order[0], order[-1]
+        head, tail = cond.vertex_component[chain[0]], cond.vertex_component[chain[-1]]
         ok = not any(
             reach[head] >> comp.index & 1 and reach[comp.index] >> tail & 1
             for comp in cond.components
@@ -162,34 +150,26 @@ class NNestResult:
         }
 
 
-def _chain_order(g: DirectedGraph, chain_set: set[str]) -> list[str] | None:
-    """If the induced subgraph on ``chain_set`` is a simple directed path
-    covering it (one edge between consecutive members, nothing else), return
-    the vertices in flow order; otherwise None."""
-    internal = [
-        e for e in g.edges if e.source in chain_set and e.target in chain_set
+def _trivial_chain(g: DirectedGraph, cond: Condensation) -> list[str] | None:
+    """The vertices of the trivial components in topological order, when
+    they form a simple chain; otherwise (or with none) None.
+
+    Every edge among them runs forward in that order, so they form a simple
+    directed path exactly when those edges are the consecutive pairs, once
+    each.
+    """
+    chain = [
+        cond.components[i].vertices[0]
+        for i in cond.topological_order
+        if cond.components[i].is_trivial
     ]
-    n = len(chain_set)
-    if len(internal) != n - 1:
+    members = set(chain)
+    internal = [
+        (e.source, e.target) for e in g.edges if e.source in members and e.target in members
+    ]
+    if not chain or sorted(internal) != sorted(zip(chain, chain[1:])):
         return None
-    out_deg = {v: 0 for v in chain_set}
-    in_deg = {v: 0 for v in chain_set}
-    nxt: dict[str, str] = {}
-    for e in internal:
-        out_deg[e.source] += 1
-        in_deg[e.target] += 1
-        nxt[e.source] = e.target
-    if any(d > 1 for d in out_deg.values()) or any(d > 1 for d in in_deg.values()):
-        return None
-    heads = [v for v in chain_set if in_deg[v] == 0]
-    if len(heads) != 1:
-        return None
-    walk = [heads[0]]
-    while walk[-1] in nxt:
-        walk.append(nxt[walk[-1]])
-    if len(walk) != n:
-        return None
-    return walk
+    return chain
 
 
 def check_n_nest_case(g: DirectedGraph) -> NNestResult:
@@ -201,37 +181,33 @@ def check_n_nest_case(g: DirectedGraph) -> NNestResult:
         )
 
     nontrivial = [c for c in cond.components if not c.is_trivial]
-    trivial = [c for c in cond.components if c.is_trivial]
+    chain = _trivial_chain(g, cond)
 
     if (
-        len(nontrivial) == 1
+        chain is not None
+        and len(nontrivial) == 1
         and nontrivial[0].component_class is ComponentClass.STRONGLY_TRANSITIVE
-        and trivial
         and all(g.loops_at(x) for x in nontrivial[0].vertices)
     ):
+        # Every vertex outside the core lies on the chain.
         base = set(nontrivial[0].vertices)
-        chain_set = {c.vertices[0] for c in trivial}
-        if not any(e.source in chain_set and e.target in base for e in g.edges):
-            walk = _chain_order(g, chain_set)
-            if walk is not None:
-                head = walk[0]
-                if any(e.source in base and e.target == head for e in g.edges):
-                    return NNestResult(
-                        "Three",
-                        False,
-                        "looped strongly transitive core feeding a simple "
-                        f"chain of {len(walk)} vertices",
-                    )
-
-    if not nontrivial:
-        walk = _chain_order(g, set(g.vertices))
-        if walk is not None:
+        if not any(e.target in base and e.source not in base for e in g.edges) and any(
+            e.source in base and e.target == chain[0] for e in g.edges
+        ):
             return NNestResult(
-                "None",
-                True,
-                "finite bare chain: a prefix of the infinite-chain pattern, "
-                "which needs infinitely many vertices",
+                "Three",
+                False,
+                "looped strongly transitive core feeding a simple "
+                f"chain of {len(chain)} vertices",
             )
+
+    if not nontrivial and chain is not None:
+        return NNestResult(
+            "None",
+            True,
+            "finite bare chain: a prefix of the infinite-chain pattern, "
+            "which needs infinitely many vertices",
+        )
 
     return NNestResult("None", False, "no finite case pattern matches")
 

@@ -9,11 +9,16 @@ rep        build a representation (phi | rho | psi | fock | nnest) and
 recover    recover one path coefficient of an element through a family
 radical    radical generators, plus membership for an optional element
 
-Exit codes: 0 success; 2 unreadable input (parse errors, bad paths) or a size
-cap exceeded (LimitError, including the path-length cap of recovery, the
-grid cap of separation and a subnormal separation witness entry); 3
-file-system errors; 4 empty input (zero element, empty graph); 5 a
-construction's mathematical precondition fails.
+Exit codes (``EXIT_CODES``): 0 success; 2 unreadable input (parse errors,
+bad paths, malformed flag values) or a size cap exceeded (LimitError,
+including the path-length cap of recovery, the grid cap of separation and a
+subnormal separation witness entry); 3 file-system errors; 4 empty input
+(zero element, empty graph); 5 a construction's mathematical precondition
+fails.
+
+Every subcommand takes ``--json``; only ``rep`` takes ``--seed`` (the
+rotation of the nnest parameters) and ``--max-basis`` (the Fock basis cap).
+Relation verdicts use the fixed tolerance ``linalg.NORM_TOL``.
 
 Unit-modulus parameters are written as fractions of a full turn:
 ``--lambda-arg 0.25`` means e^{2πi·0.25} = i.  Path arguments list edge names
@@ -26,8 +31,8 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
-from dataclasses import dataclass
 
 from .classify import classify
 from .elements import FormalElement, element_from_json, truncated_left_regular
@@ -35,12 +40,10 @@ from .errors import (
     EmptyInputError,
     GraphNestError,
     GraphParseError,
-    LimitError,
     PathError,
     PreconditionError,
 )
 from .graphs import DirectedGraph, Path, graph_to_json, parse_graph
-from .linalg import ToleranceConfig
 from .recovery import (
     recover_irreducible,
     recover_nest,
@@ -60,33 +63,15 @@ from .reps import (
 SCHEMA_VERSION = 1
 
 EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_IO = 3
-EXIT_EMPTY = 4
-EXIT_PRECONDITION = 5
 
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Run-wide knobs shared by every command."""
-
-    tolerances: ToleranceConfig
-    max_basis: int = 20_000
-    json_output: bool = False
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_basis < 1:
-            raise ValueError("limits must be positive")
-
-
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        tolerances=ToleranceConfig(norm_tol=args.norm_tol),
-        max_basis=args.max_basis,
-        json_output=args.json,
-        seed=args.seed,
-    )
+#: Exit code of each error class a command may raise; the first match wins.
+EXIT_CODES = (
+    (EmptyInputError, 4),
+    (PreconditionError, 5),
+    (OSError, 3),
+    (GraphNestError, 2),  # parse errors, bad paths, size caps
+    (ValueError, 2),  # malformed flag values and representation JSON
+)
 
 
 # -- input helpers -------------------------------------------------------------------
@@ -128,8 +113,10 @@ def _parse_lambdas(spec: str) -> list[complex]:
             continue
         try:
             t = float(part)
-        except ValueError as exc:
-            raise PathError(f"bad turn fraction {part!r} in --lambda-arg") from exc
+        except ValueError:
+            t = math.nan
+        if not math.isfinite(t):
+            raise PathError(f"bad turn fraction {part!r} in --lambda-arg")
         out.append(cmath.exp(2j * cmath.pi * t))
     if not out:
         raise PathError("--lambda-arg needs at least one turn fraction")
@@ -177,10 +164,10 @@ def _yesno(flag: bool) -> str:
 # -- commands ------------------------------------------------------------------------
 
 
-def _cmd_classify(args: argparse.Namespace, cfg: CliConfig) -> int:
+def _cmd_classify(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     report = classify(g)
-    if cfg.json_output:
+    if args.json:
         sys.stdout.write(
             _dump_json({"graph": graph_to_json(g), "report": report.to_json()})
         )
@@ -221,7 +208,7 @@ def _cmd_classify(args: argparse.Namespace, cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_separate(args: argparse.Namespace, cfg: CliConfig) -> int:
+def _cmd_separate(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     a = _load_element(args.element, g)
     witness = separate(
@@ -236,7 +223,7 @@ def _cmd_separate(args: argparse.Namespace, cfg: CliConfig) -> int:
                 "representation": rep_to_json(witness.representation),
             },
         )
-    if cfg.json_output:
+    if args.json:
         sys.stdout.write(
             _dump_json({"graph": graph_to_json(g), "witness": witness.to_json()})
         )
@@ -262,7 +249,7 @@ def _cmd_separate(args: argparse.Namespace, cfg: CliConfig) -> int:
 
 
 def _build_rep(
-    args: argparse.Namespace, cfg: CliConfig, g: DirectedGraph
+    args: argparse.Namespace, g: DirectedGraph
 ) -> tuple[FiniteRepresentation, list[int] | None]:
     kind = args.kind
     if kind == "phi":
@@ -289,16 +276,18 @@ def _build_rep(
         )
         return rep, [1] * rep.dimension
     if kind == "fock":
-        rep = truncated_left_regular(g, args.depth, max_basis=cfg.max_basis)
+        rep = truncated_left_regular(g, args.depth, max_basis=args.max_basis)
         return rep, None
-    rep = n_nest_truncation(g, args.prefix_len, cfg.seed)
+    rep = n_nest_truncation(g, args.prefix_len, args.seed)
     return rep, [1] * rep.dimension
 
 
-def _cmd_rep(args: argparse.Namespace, cfg: CliConfig) -> int:
+def _cmd_rep(args: argparse.Namespace) -> int:
+    if args.max_basis < 1:
+        raise ValueError("--max-basis must be positive")
     g = _load_graph(args.graph)
-    rep, nest_blocks = _build_rep(args, cfg, g)
-    relations = check_relations(rep, tol=cfg.tolerances)
+    rep, nest_blocks = _build_rep(args, g)
+    relations = check_relations(rep)
     payload = {
         "graph": graph_to_json(g),
         "kind": args.kind,
@@ -308,7 +297,7 @@ def _cmd_rep(args: argparse.Namespace, cfg: CliConfig) -> int:
     }
     if args.emit:
         _write_emit(args.emit, payload)
-    if cfg.json_output:
+    if args.json:
         sys.stdout.write(_dump_json(payload))
         return EXIT_OK
     verdicts = relations.verdicts
@@ -322,7 +311,7 @@ def _cmd_rep(args: argparse.Namespace, cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_recover(args: argparse.Namespace, cfg: CliConfig) -> int:
+def _cmd_recover(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     a = _load_element(args.element, g)
     w = _parse_pathspec(g, args.path)
@@ -334,7 +323,7 @@ def _cmd_recover(args: argparse.Namespace, cfg: CliConfig) -> int:
         value = recover_upper(
             g, a, w, loop_choice=_parse_loop_choice(g, args.loop_choice)
         )
-    if cfg.json_output:
+    if args.json:
         sys.stdout.write(
             _dump_json(
                 {
@@ -350,7 +339,7 @@ def _cmd_recover(args: argparse.Namespace, cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_radical(args: argparse.Namespace, cfg: CliConfig) -> int:
+def _cmd_radical(args: argparse.Namespace) -> int:
     from .recovery import is_in_radical, radical_edge_generators
 
     g = _load_graph(args.graph)
@@ -359,7 +348,7 @@ def _cmd_radical(args: argparse.Namespace, cfg: CliConfig) -> int:
     if args.element:
         a = _load_element(args.element, g)
         membership = is_in_radical(g, a)
-    if cfg.json_output:
+    if args.json:
         payload: dict = {
             "graph": graph_to_json(g),
             "generators": list(generators),
@@ -379,9 +368,6 @@ def _cmd_radical(args: argparse.Namespace, cfg: CliConfig) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--seed", type=int, default=0, help="seed for seeded constructions")
-    common.add_argument("--max-basis", type=int, default=20_000, help="basis size cap")
-    common.add_argument("--norm-tol", type=float, default=1e-9, help="relation-check tolerance")
 
     parser = argparse.ArgumentParser(
         prog="graphnest",
@@ -410,6 +396,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loop-choice", metavar="V=E,...", help="designated loop overrides (psi)")
     p.add_argument("--depth", type=int, default=2, help="truncation depth (fock)")
     p.add_argument("--prefix-len", type=int, default=4, help="walk length (nnest)")
+    p.add_argument("--seed", type=int, default=0, help="parameter rotation (nnest)")
+    p.add_argument("--max-basis", type=int, default=20_000, help="basis size cap (fock)")
     p.add_argument("--emit", metavar="FILE", help="also write the JSON payload here")
     p.set_defaults(func=_cmd_rep)
 
@@ -430,29 +418,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return args.func(args, cfg)
-    except (GraphParseError, PathError, LimitError) as exc:
+        return args.func(args)
+    except tuple(cls for cls, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except EmptyInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except GraphNestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ left regular representation on it, in the monomial storage of ``reps``.
 
 from __future__ import annotations
 
+import cmath
 import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -295,6 +296,8 @@ def element_from_json(g: DirectedGraph, obj) -> FormalElement:
             coeff = complex(float(re), float(im))
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphParseError(f"element term {i} has a malformed coefficient") from exc
+        if not cmath.isfinite(coeff):
+            raise GraphParseError(f"element term {i} has a non-finite coefficient")
         if ("vertex" in entry) == ("path" in entry):
             raise GraphParseError(
                 f"element term {i} must carry exactly one of 'vertex' or 'path'"

@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
-Every error raised by the library is a :class:`GraphNestError`, so callers
-(notably the CLI) can map failures onto exit codes without catching bare
-``Exception``.
+Every error the library raises on purpose is a :class:`GraphNestError`,
+or a ``ValueError`` for a malformed argument or representation JSON, so
+callers can map failures onto exit codes without catching bare
+``Exception``; the CLI's ``EXIT_CODES`` table does so by class.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ class PathError(GraphNestError):
 
 
 class LimitError(GraphNestError):
-    """A configured size limit was exceeded (path enumeration length,
-    representation dimension, enumeration caps)."""
+    """A size cap was exceeded (path enumeration length and count, Fock
+    basis size, free words, purity walk, recovery path length, separation
+    grid), or a separation witness entry fell below the normal doubles."""
 
 
 class PreconditionError(GraphNestError):

@@ -29,11 +29,11 @@ from .errors import (
     PreconditionError,
 )
 
-#: Default ceiling on the ``max_len`` argument of the enumeration helpers.
-DEFAULT_MAX_LEN_LIMIT = 12
+#: Cap on the ``max_len`` argument of the enumeration helpers.
+MAX_ENUM_LENGTH = 12
 
-#: Default ceiling on the number of paths an enumeration may produce.
-DEFAULT_MAX_PATHS = 200_000
+#: Cap on the number of paths an enumeration may produce.
+MAX_ENUM_PATHS = 200_000
 
 
 @dataclass(frozen=True)
@@ -697,7 +697,7 @@ def _levels(g: DirectedGraph, start: str, max_len: int, max_paths: int) -> Itera
                 produced += 1
                 if produced > max_paths:
                     raise LimitError(
-                        f"path enumeration exceeded {max_paths} paths; "
+                        f"path enumeration exceeded the cap of {max_paths} paths; "
                         "restrict max_len or the graph"
                     )
         if not nxt:
@@ -711,50 +711,33 @@ def enumerate_paths(
     source: str,
     target: str,
     max_len: int,
-    *,
-    max_len_limit: int = DEFAULT_MAX_LEN_LIMIT,
-    max_paths: int = DEFAULT_MAX_PATHS,
 ) -> list[Path]:
     """All paths ``source → target`` of length ≤ ``max_len``, ordered by
     length then lexicographically by edge declaration order.  The length-0
-    vertex path is included when source == target."""
+    vertex path is included when source == target.  Raises ``LimitError``
+    past ``MAX_ENUM_LENGTH`` edges or ``MAX_ENUM_PATHS`` paths."""
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    if max_len > max_len_limit:
-        raise LimitError(f"max_len {max_len} exceeds the configured limit {max_len_limit}")
+    if max_len > MAX_ENUM_LENGTH:
+        raise LimitError(f"max_len {max_len} exceeds the cap {MAX_ENUM_LENGTH}")
     g.vertex_index(source)
     g.vertex_index(target)
     out: list[Path] = []
-    for level in _levels(g, source, max_len, max_paths):
+    for level in _levels(g, source, max_len, MAX_ENUM_PATHS):
         out.extend(p for p in level if p.target == target)
     return out
 
 
-def enumerate_cycles_through(
-    g: DirectedGraph,
-    x: str,
-    max_len: int,
-    *,
-    max_len_limit: int = DEFAULT_MAX_LEN_LIMIT,
-    max_paths: int = DEFAULT_MAX_PATHS,
-) -> list[Path]:
+def enumerate_cycles_through(g: DirectedGraph, x: str, max_len: int) -> list[Path]:
     """All cycles of length 1..max_len based at ``x``, in enumeration order."""
-    return [
-        p
-        for p in enumerate_paths(
-            g, x, x, max_len, max_len_limit=max_len_limit, max_paths=max_paths
-        )
-        if p.length >= 1
-    ]
+    return [p for p in enumerate_paths(g, x, x, max_len) if p.length >= 1]
 
 
-def all_cycles(
-    g: DirectedGraph, max_len: int, *, max_len_limit: int = DEFAULT_MAX_LEN_LIMIT
-) -> list[Path]:
+def all_cycles(g: DirectedGraph, max_len: int) -> list[Path]:
     """All based cycles of length 1..max_len, grouped by base vertex in
     declaration order.  Rotations of one geometric cycle are distinct paths
     and are all listed."""
     out: list[Path] = []
     for x in g.vertices:
-        out.extend(enumerate_cycles_through(g, x, max_len, max_len_limit=max_len_limit))
+        out.extend(enumerate_cycles_through(g, x, max_len))
     return out

@@ -7,33 +7,22 @@ maps (``reps``); these helpers serve the dense matrices read from them.
 ``span_closure_dim`` computes the linear dimension of the (non-unital)
 algebra generated by a finite set of k×k matrices — the workhorse behind the
 irreducibility and nest-density certificates.
+
+The two tolerances are fixed.  The package's representations send each
+basis vector to ½ or 1 times another, so a relation residual is an exact
+number such as 0, 0.25, 0.75 or 1: any threshold between rounding error and
+0.25 gives the same verdicts, and a larger one only wrong ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+#: Rank threshold, relative to the largest singular value.
+RANK_TOL = 1e-9
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical thresholds used across the package.
-
-    rank_tol drives rank decisions (relative to the largest singular value),
-    norm_tol bounds residuals treated as zero.
-    """
-
-    rank_tol: float = 1e-9
-    norm_tol: float = 1e-9
-
-    def __post_init__(self):
-        for name in ("rank_tol", "norm_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-
-DEFAULT_TOLERANCES = ToleranceConfig()
+#: Residual norms up to this are treated as zero.
+NORM_TOL = 1e-9
 
 
 def as_matrix(m) -> np.ndarray:
@@ -70,7 +59,7 @@ def row_operator_norm(ms) -> float:
     return float(np.sqrt(operator_norm(acc)))
 
 
-def _orthonormal_rows(stack: np.ndarray, rank_tol: float) -> np.ndarray:
+def _orthonormal_rows(stack: np.ndarray) -> np.ndarray:
     """Orthonormal row basis of the row space, via SVD with a relative
     threshold.  Returns an (r, n) array; r may be zero."""
     if stack.size == 0:
@@ -82,11 +71,11 @@ def _orthonormal_rows(stack: np.ndarray, rank_tol: float) -> np.ndarray:
     _, s, vh = np.linalg.svd(stack, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return vh[:0]
-    r = int(np.count_nonzero(s > rank_tol * s[0]))
+    r = int(np.count_nonzero(s > RANK_TOL * s[0]))
     return vh[:r]
 
 
-def span_closure_dim(gens, dim: int, tol: ToleranceConfig = DEFAULT_TOLERANCES):
+def span_closure_dim(gens, dim: int):
     """Dimension of the smallest multiplicatively closed subspace of k×k
     matrices containing ``gens`` (the non-unital generated algebra), plus an
     orthonormal basis of it.
@@ -108,9 +97,7 @@ def span_closure_dim(gens, dim: int, tol: ToleranceConfig = DEFAULT_TOLERANCES):
         mats.append(a)
     if not mats:
         return 0, []
-    basis_rows = _orthonormal_rows(
-        np.array([m.reshape(-1) for m in mats]), tol.rank_tol
-    )
+    basis_rows = _orthonormal_rows(np.array([m.reshape(-1) for m in mats]))
     # basis_rows is the orthonormal basis so far; its last `fresh` rows are
     # the directions added by the previous round.
     r = fresh = basis_rows.shape[0]
@@ -125,7 +112,7 @@ def span_closure_dim(gens, dim: int, tol: ToleranceConfig = DEFAULT_TOLERANCES):
             (new[:, None] @ cube[None]).reshape(-1, full),
             (old[:, None] @ new[None]).reshape(-1, full),
         ])
-        grown = _orthonormal_rows(stacked, tol.rank_tol)
+        grown = _orthonormal_rows(stacked)
         fresh = grown.shape[0] - r
         if fresh <= 0:
             break
@@ -139,18 +126,18 @@ def span_closure_dim(gens, dim: int, tol: ToleranceConfig = DEFAULT_TOLERANCES):
     return r, [row.reshape(k, k) for row in basis_rows]
 
 
-def is_orthogonal_projection(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-    """True when m is Hermitian and idempotent within norm_tol."""
+def is_orthogonal_projection(m) -> bool:
+    """True when m is Hermitian and idempotent within ``NORM_TOL``."""
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError("is_orthogonal_projection needs a square matrix")
     return (
-        operator_norm(a @ a - a) <= tol.norm_tol
-        and operator_norm(a - a.conj().T) <= tol.norm_tol
+        operator_norm(a @ a - a) <= NORM_TOL
+        and operator_norm(a - a.conj().T) <= NORM_TOL
     )
 
 
-def matrices_equal(a, b, tol: float = DEFAULT_TOLERANCES.norm_tol) -> bool:
+def matrices_equal(a, b, tol: float = NORM_TOL) -> bool:
     """Operator-norm equality within ``tol``; shape mismatch is inequality."""
     ma, mb = as_matrix(a), as_matrix(b)
     if ma.shape != mb.shape:

@@ -43,8 +43,7 @@ from .graphs import (
     primitive_root,
 )
 from .linalg import (
-    DEFAULT_TOLERANCES,
-    ToleranceConfig,
+    NORM_TOL,
     as_matrix,
     matrix_from_json,
     matrix_to_json,
@@ -58,6 +57,9 @@ UNIT_MODULUS_TOL = 1e-12
 
 #: Default ceiling on the number of (nonvanishing) paths purity_defect walks.
 DEFAULT_MAX_DEFECT_PATHS = 100_000
+
+#: Cap on the free words ``n_nest_truncation`` enumerates at one length.
+MAX_FREE_WORDS = 100_000
 
 
 def _squared(weights: np.ndarray) -> np.ndarray:
@@ -97,9 +99,11 @@ def _from_dense(g: DirectedGraph, k: int, vertex_images, edge_images):
             raise ValueError(f"the image of {name!r} is missing or has the wrong shape")
         return m
 
+    # Every shape is checked before anything of size k is allocated.
+    vertex_mats = [image(x, vertex_images) for x in g.vertices]
+    edge_mats = [image(e.name, edge_images) for e in g.edges]
     labels = np.full(k, -1, dtype=np.intp)
-    for i, x in enumerate(g.vertices):
-        m = image(x, vertex_images)
+    for i, (x, m) in enumerate(zip(g.vertices, vertex_mats)):
         ones = m.diagonal() == 1
         if np.count_nonzero(m) != np.count_nonzero(ones):
             raise ValueError(f"vertex {x!r} image is not a diagonal 0/1 projection")
@@ -108,8 +112,7 @@ def _from_dense(g: DirectedGraph, k: int, vertex_images, edge_images):
         labels[ones] = i
     names, rows = [], np.full((len(g.edges), k), -1, dtype=np.intp)
     weights = np.zeros((len(g.edges), k), dtype=np.complex128)
-    for e in g.edges:
-        m = image(e.name, edge_images)
+    for e, m in zip(g.edges, edge_mats):
         dst, cols = np.nonzero(m)
         if len(set(dst.tolist())) < len(dst) or len(set(cols.tolist())) < len(cols):
             raise ValueError(f"edge {e.name!r} image is not a weighted partial permutation")
@@ -262,7 +265,7 @@ class NestStructure:
 
 def _check_unit_modulus(lam: complex) -> complex:
     lam = complex(lam)
-    if abs(abs(lam) - 1.0) > UNIT_MODULUS_TOL:
+    if not abs(abs(lam) - 1.0) <= UNIT_MODULUS_TOL:  # NaN fails too
         raise PreconditionError(f"parameter must have modulus 1, got |λ| = {abs(lam)!r}")
     return lam
 
@@ -636,9 +639,7 @@ def _next_prime(n: int) -> int:
     return n
 
 
-def n_nest_truncation(
-    g: DirectedGraph, prefix_len: int, seed: int, *, max_paths: int = 100_000
-) -> FiniteRepresentation:
+def n_nest_truncation(g: DirectedGraph, prefix_len: int, seed: int) -> FiniteRepresentation:
     """Finite corner of the naturally ordered nest construction.
 
     Requires a strongly transitive graph with a loop at every vertex.  The
@@ -670,9 +671,9 @@ def n_nest_truncation(
                     nxt.append(Path(p.source, e.target, (e.name,) + p.edges))
             if not nxt:
                 return
-            if len(nxt) > max_paths:
+            if len(nxt) > MAX_FREE_WORDS:
                 raise LimitError(
-                    f"free-word enumeration exceeded {max_paths} paths"
+                    f"free-word enumeration exceeded the cap of {MAX_FREE_WORDS} paths"
                 )
             nxt.sort(key=g.path_sort_key)
             yield from nxt
@@ -721,6 +722,7 @@ class RelationReport:
     4. summed range bound: smallest ε ≥ 0 with Σ_{r(e)=x} S_e S_e^* ≤ P_x + εI,
        per vertex.
 
+    A relation holds when each of its residuals is at most ``NORM_TOL``.
     Failures are reported, never raised: the package's constructions are
     ½-scaled contractions, so relation 3 fails for them by design.
     """
@@ -729,7 +731,6 @@ class RelationReport:
     edge_orthogonality: dict[tuple[str, str], float]
     edge_isometry: dict[str, float]
     range_bound: dict[str, float]
-    norm_tol: float
     restriction: str | None = None
 
     @property
@@ -744,7 +745,7 @@ class RelationReport:
     @property
     def verdicts(self) -> dict[str, bool]:
         return {
-            name: all(v <= self.norm_tol for v in residuals.values())
+            name: all(v <= NORM_TOL for v in residuals.values())
             for name, residuals in self._residuals.items()
         }
 
@@ -773,7 +774,6 @@ class RelationReport:
 def check_relations(
     rep: FiniteRepresentation,
     restrict_interior: Sequence[int] | None = None,
-    tol: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> RelationReport:
     """Measure the four relations; optionally compress each relation's
     residual to the coordinate subspace ``restrict_interior`` (used to check
@@ -829,7 +829,6 @@ def check_relations(
         edge_orthogonality=edge_orth,
         edge_isometry=edge_iso,
         range_bound=dict(zip(names, top.tolist())),
-        norm_tol=tol.norm_tol,
         restriction=note,
     )
 
@@ -873,14 +872,12 @@ def purity_defect(
     return float(acc[:-1].max(initial=0.0))
 
 
-def is_coisometric(
-    rep: FiniteRepresentation, tol: ToleranceConfig = DEFAULT_TOLERANCES
-) -> bool:
+def is_coisometric(rep: FiniteRepresentation) -> bool:
     """True when the edge row operator is a coisometry: Σ S_e S_e^* = I."""
     live = rep.rows >= 0
     acc = -np.ones(rep.dimension)
     np.add.at(acc, rep.rows[live], _squared(rep.weights[live]))
-    return float(np.abs(acc).max(initial=0.0)) <= tol.norm_tol
+    return float(np.abs(acc).max(initial=0.0)) <= NORM_TOL
 
 
 # -- JSON encoding -----------------------------------------------------------------
@@ -903,4 +900,6 @@ def rep_from_json(g: DirectedGraph, obj) -> FiniteRepresentation:
         edge_images = {e: matrix_from_json(m) for e, m in obj["edge_images"].items()}
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed representation JSON: {exc}") from exc
+    if orientation not in ("lower", "upper", None):
+        raise ValueError(f"orientation {orientation!r} is not 'lower', 'upper' or null")
     return FiniteRepresentation(g, dim, vertex_images, edge_images, orientation=orientation)

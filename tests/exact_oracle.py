@@ -203,6 +203,60 @@ def faithful_nest_by_pairs(g):
     return total, not between
 
 
+def _chain_order(g, chain_set):
+    """If the induced subgraph on ``chain_set`` is a simple directed path
+    covering it (one edge between consecutive members, nothing else), return
+    the vertices in flow order; otherwise None.  Walks the path from its one
+    vertex without an in-edge, by in- and out-degree counts."""
+    internal = [e for e in g.edges if e.source in chain_set and e.target in chain_set]
+    n = len(chain_set)
+    if len(internal) != n - 1:
+        return None
+    out_deg = {v: 0 for v in chain_set}
+    in_deg = {v: 0 for v in chain_set}
+    nxt = {}
+    for e in internal:
+        out_deg[e.source] += 1
+        in_deg[e.target] += 1
+        nxt[e.source] = e.target
+    if any(d > 1 for d in out_deg.values()) or any(d > 1 for d in in_deg.values()):
+        return None
+    heads = [v for v in chain_set if in_deg[v] == 0]
+    if len(heads) != 1:
+        return None
+    walk = [heads[0]]
+    while walk[-1] in nxt:
+        walk.append(nxt[walk[-1]])
+    return walk if len(walk) == n else None
+
+
+def n_nest_case_by_chain_walk(g):
+    """``(case, requires_infinite)`` of the naturally ordered nest case
+    analysis, finding each chain by walking it with ``_chain_order``."""
+    cond = gn.condensation(g)
+    if gn.is_strongly_transitive(g) and all(g.loops_at(x) for x in g.vertices):
+        return "One", False
+    nontrivial = [c for c in cond.components if not c.is_trivial]
+    trivial = [c for c in cond.components if c.is_trivial]
+    if (
+        len(nontrivial) == 1
+        and nontrivial[0].component_class is gn.ComponentClass.STRONGLY_TRANSITIVE
+        and trivial
+        and all(g.loops_at(x) for x in nontrivial[0].vertices)
+    ):
+        base = set(nontrivial[0].vertices)
+        chain_set = {c.vertices[0] for c in trivial}
+        if not any(e.source in chain_set and e.target in base for e in g.edges):
+            walk = _chain_order(g, chain_set)
+            if walk is not None and any(
+                e.source in base and e.target == walk[0] for e in g.edges
+            ):
+                return "Three", False
+    if not nontrivial and _chain_order(g, set(g.vertices)) is not None:
+        return "None", True
+    return "None", False
+
+
 def component_by_definition(g, table, x):
     """The strongly connected component of ``x`` and its class name: the
     vertices that ``x`` reaches and is reached from; "Trivial" for one

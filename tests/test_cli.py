@@ -26,6 +26,12 @@ def run_cli(*args):
     )
 
 
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
 def test_classify_human_readable():
     proc = run_cli("classify", P2)
     assert proc.returncode == 0
@@ -73,6 +79,21 @@ def test_rep_psi_rejects_malformed_lambda():
     proc = run_cli("rep", P2, "psi", "--path", "b,b", "--lambda-arg", "1/7,2/7,3/7")
     assert proc.returncode == 2
     assert "bad turn fraction" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("psi", "--path", "b,b", "--lambda-arg", "0.1,inf,0.3"),
+        ("phi", "--cycle", "a", "--lambda-arg", "nan"),
+    ],
+    ids=["inf", "nan"],
+)
+def test_rep_rejects_non_finite_lambda(args):
+    proc = run_cli("rep", P2, *args)
+    assert proc.returncode == 2
+    assert "bad turn fraction" in proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 def test_rep_nnest_precondition_exit():
@@ -196,11 +217,72 @@ def test_subnormal_witness_entry_exits_2(tmp_path):
     assert proc.stdout == "1e-20 0.0\n"
 
 
+def test_non_finite_coefficient_exits_2(tmp_path):
+    elem = _write(tmp_path, "nan.json", '{"terms": [{"coeff": [NaN, 0.0], "vertex": "v"}]}')
+    for argv in (
+        ("recover", P2, elem, "vertex:v", "--family", "nest"),
+        ("separate", P2, elem, "--family", "nest"),
+    ):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert "term 0 has a non-finite coefficient" in proc.stderr
+        assert proc.stdout == ""
+
+
 def test_rank_tolerance_flag_is_gone():
     proc = run_cli("rep", P2, "fock", "--depth", "1", "--rank-tol", "1e-9")
     assert proc.returncode == 2
     assert "--rank-tol" in proc.stderr
-    assert run_cli("rep", P2, "fock", "--depth", "1", "--norm-tol", "1e-9").returncode == 0
+    assert run_cli("rep", P2, "fock", "--depth", "1", "--norm-tol", "1e-9").returncode == 2
+
+
+@pytest.mark.parametrize(
+    "kind, code",
+    [
+        ("GraphParseError", 2),
+        ("PathError", 2),
+        ("LimitError", 2),
+        ("ValueError", 2),
+        ("OSError", 3),
+        ("EmptyInputError", 4),
+        ("PreconditionError", 5),
+    ],
+)
+def test_each_error_kind_has_its_exit_code(tmp_path, kind, code):
+    argv = {
+        "GraphParseError": ("classify", _write(tmp_path, "bad.graph", "vertex v\nedge a v q\n")),
+        "PathError": ("rep", P2, "phi", "--cycle", "zz", "--lambda-arg", "0"),
+        "LimitError": ("rep", P2, "fock", "--depth", "3", "--max-basis", "5"),
+        "ValueError": ("rep", P2, "fock", "--depth", "-1"),
+        "OSError": ("classify", str(FIXTURES / "no_such.graph")),
+        "EmptyInputError": ("radical", _write(tmp_path, "empty.graph", "# no vertices\n")),
+        "PreconditionError": ("rep", C3, "nnest"),
+    }[kind]
+    proc = run_cli(*argv)
+    assert proc.returncode == code
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("classify", P2, "--seed", "3"),
+        ("radical", SCC, "--max-basis", "5"),
+        ("rep", P2, "fock", "--norm-tol", "1e-9"),
+    ],
+    ids=["seed-on-classify", "max-basis-on-radical", "norm-tol"],
+)
+def test_flags_are_accepted_only_where_read(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "unrecognized arguments" in proc.stderr
+
+
+def test_rep_accepts_seed_and_max_basis():
+    proc = run_cli("rep", P2, "nnest", "--seed", "3", "--max-basis", "5", "--json")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["representation"]["dimension"] == 5
 
 
 def test_missing_file_exits_3():

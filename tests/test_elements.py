@@ -250,3 +250,6 @@ def test_element_json_rejects_malformed(p2):
         gn.element_from_json(p2, {"terms": [{"coeff": [1.0], "vertex": "v"}]})
     with pytest.raises(gn.GraphParseError):
         gn.element_from_json(p2, [])
+    for coeff in ([float("nan"), 0.0], [0.0, float("inf")]):
+        with pytest.raises(gn.GraphParseError, match="non-finite"):
+            gn.element_from_json(p2, {"terms": [{"coeff": coeff, "vertex": "v"}]})

@@ -1,5 +1,6 @@
 """Condensation reachability, radical membership and the faithful-nest
-conditions, checked against plain breadth-first search.
+conditions, checked against plain breadth-first search, and the n-nest case
+analysis, checked against a chain found by walking it.
 
 The large graphs have more than 64 strongly connected components, so the
 per-component reachability masks span several machine words, and their
@@ -8,12 +9,18 @@ first-declared vertex) disagree with the topological order.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
 import graphnest as gn
 from conftest import random_graph, random_walk
-from exact_oracle import component_by_definition, faithful_nest_by_pairs, reach_table
+from exact_oracle import (
+    component_by_definition,
+    faithful_nest_by_pairs,
+    n_nest_case_by_chain_walk,
+    reach_table,
+)
 
 
 def _component(rng, tag, kind):
@@ -71,6 +78,45 @@ def planted_chain(rng, count, linked=True):
     return gn.DirectedGraph(vertices, edges)
 
 
+def planted_core_chain(rng):
+    """A core of looped vertices on one cycle feeding a chain of bare
+    vertices; either part may be empty.  Each perturbation, applied at
+    random, may break the naturally ordered nest case: a dropped loop, a
+    parallel or shortcut chain edge, an edge back into the core, a dropped
+    chain link, or the feed entering the chain past its head."""
+    core = [f"c{i}" for i in range(rng.randint(0, 3))]
+    chain = [f"x{j}" for j in range(rng.randint(0 if core else 1, 6))]
+    edges = [(f"l{i}", c, c) for i, c in enumerate(core)]
+    if len(core) == 1:
+        edges.append(("l1", core[0], core[0]))
+    if len(core) > 1:
+        edges += [(f"r{i}", c, core[(i + 1) % len(core)]) for i, c in enumerate(core)]
+    edges += [(f"t{j}", a, b) for j, (a, b) in enumerate(zip(chain, chain[1:]))]
+    if core and chain:
+        edges.append(("feed", rng.choice(core), chain[0]))
+
+    def maybe():
+        return rng.random() < 0.12
+
+    if core and maybe():
+        edges.remove(edges[rng.randrange(len(core))])
+    if len(chain) > 1 and maybe():
+        edges.append(("twin", chain[0], chain[1]))
+    if len(chain) > 2 and maybe():
+        j = rng.randrange(len(chain) - 2)
+        edges.append(("skip", chain[j], chain[rng.randrange(j + 2, len(chain))]))
+    if core and chain and maybe():
+        edges.append(("back", rng.choice(chain), rng.choice(core)))
+    if len(chain) > 1 and maybe():
+        edges = [e for e in edges if e[0] != f"t{rng.randrange(len(chain) - 1)}"]
+    if core and len(chain) > 1 and maybe():
+        edges.append(("late", rng.choice(core), rng.choice(chain[1:])))
+    vertices = core + chain
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    return gn.DirectedGraph(vertices, edges)
+
+
 def random_dag_with_cycles(rng, n=150):
     """Sparse forward edges over a random vertex order, plus a few loops and
     short back edges that close small cycles."""
@@ -122,6 +168,13 @@ def _check_faithful_nest(g):
     return total, chain
 
 
+def _check_n_nest(g):
+    report = gn.check_n_nest_case(g)
+    outcome = (report.case, report.requires_infinite)
+    assert outcome == n_nest_case_by_chain_walk(g)
+    return outcome
+
+
 def test_small_random_graphs_agree_with_bfs():
     rng = random.Random(2004)
     for _ in range(300):
@@ -130,6 +183,7 @@ def test_small_random_graphs_agree_with_bfs():
         _check_reachability(g, table)
         _check_radical(rng, g, table)
         _check_faithful_nest(g)
+        _check_n_nest(g)
 
 
 def test_planted_chains_agree_with_bfs():
@@ -142,6 +196,7 @@ def test_planted_chains_agree_with_bfs():
         _check_reachability(g, table)
         _check_radical(rng, g, table)
         verdicts.add(_check_faithful_nest(g))
+        _check_n_nest(g)
     # both conditions came out both ways, so neither check is vacuous here
     assert {t for t, _ in verdicts} == {True, False}
     assert {c for _, c in verdicts} == {True, False}
@@ -156,6 +211,14 @@ def test_random_dags_with_many_components_agree_with_bfs():
         _check_reachability(g, table)
         _check_radical(rng, g, table)
         _check_faithful_nest(g)
+        _check_n_nest(g)
+
+
+def test_planted_cores_and_chains_agree_with_the_chain_walk():
+    rng = random.Random(3)
+    outcomes = Counter(_check_n_nest(planted_core_chain(rng)) for _ in range(600))
+    # every case occurred, so no branch of the analysis goes unchecked
+    assert set(outcomes) == {("One", False), ("Three", False), ("None", True), ("None", False)}
 
 
 def test_condensation_is_computed_once_and_read_only():

@@ -101,6 +101,16 @@ def test_phi_rejects_bad_inputs():
         gn.phi_cycle(c2, c2.vertex_path("x"), 1.0)
 
 
+def test_nan_parameters_are_rejected(p2):
+    nan = complex(float("nan"), 0.0)
+    with pytest.raises(gn.PreconditionError, match="modulus 1"):
+        gn.phi_cycle(p2, p2.path_from_traversal(["a"]), nan)
+    with pytest.raises(gn.PreconditionError, match="modulus 1"):
+        gn.rho_nest(p2, p2.path_from_traversal(["a"]), [nan])
+    with pytest.raises(gn.PreconditionError, match="modulus 1"):
+        gn.psi_upper(p2, p2.path_from_traversal(["b"]), [1.0, nan])
+
+
 def test_phi_evaluates_cycle_to_scaled_dyad():
     # primitive cycle: rank-one dyad at the corner, scaled by lambda / 2^k
     p2 = make_graph("p2")
@@ -504,6 +514,19 @@ def test_rep_from_json_rejects_what_is_not_a_monomial_representation():
     for obj, message in bad:
         with pytest.raises(ValueError, match=message):
             gn.rep_from_json(g, obj)
+
+
+def test_rep_from_json_checks_its_input_before_allocating(p2):
+    # 10**12 basis vectors would take terabytes: the missing images are
+    # reported before anything of that size is allocated
+    huge = {"dimension": 10**12, "vertex_images": {}, "edge_images": {}}
+    with pytest.raises(ValueError, match="missing or has the wrong shape"):
+        gn.rep_from_json(p2, huge)
+    ok = gn.rep_to_json(gn.phi_cycle(p2, p2.path_from_traversal(["a"]), 1.0))
+    for orientation in ("sideways", ["lower"], 1):
+        with pytest.raises(ValueError, match="orientation"):
+            gn.rep_from_json(p2, {**ok, "orientation": orientation})
+    assert gn.rep_from_json(p2, {**ok, "orientation": "upper"}).orientation == "upper"
 
 
 def test_dense_constructor_converts_exact_weighted_partial_permutations(p2):
