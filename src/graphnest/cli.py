@@ -17,8 +17,14 @@ subnormal separation witness entry); 3 file-system errors; 4 empty input
 fails.
 
 Every subcommand takes ``--json``; only ``rep`` takes ``--seed`` (the
-rotation of the nnest parameters) and ``--max-basis`` (the Fock basis cap).
-Relation verdicts use the fixed tolerance ``linalg.NORM_TOL``.
+rotation of the nnest parameters, for ``rep … nnest`` only) and
+``--max-basis`` (the Fock basis cap, for ``rep … fock`` only), and exits 2
+when either is given with another kind.  Relation verdicts use the fixed
+tolerance ``linalg.NORM_TOL``.
+
+``--json`` (stdout) and ``--emit FILE`` write compact JSON: one line, keys
+sorted, ending in a newline, with ``schema_version`` 1.  Pipe it through
+``python3 -m json.tool`` to read it indented.
 
 Unit-modulus parameters are written as fractions of a full turn:
 ``--lambda-arg 0.25`` means e^{2πi·0.25} = i.  Path arguments list edge names
@@ -35,7 +41,12 @@ import math
 import sys
 
 from .classify import classify
-from .elements import FormalElement, element_from_json, truncated_left_regular
+from .elements import (
+    DEFAULT_MAX_BASIS,
+    FormalElement,
+    element_from_json,
+    truncated_left_regular,
+)
 from .errors import (
     EmptyInputError,
     GraphNestError,
@@ -145,7 +156,8 @@ def _parse_loop_choice(g: DirectedGraph, spec: str | None) -> dict[str, str] | N
 
 def _dump_json(obj: dict) -> str:
     payload = {"schema_version": SCHEMA_VERSION, **obj}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # Without ``indent`` json.dumps runs its C encoder.
+    return json.dumps(payload, sort_keys=True) + "\n"
 
 
 def _write_emit(path: str, obj: dict) -> None:
@@ -276,14 +288,19 @@ def _build_rep(
         )
         return rep, [1] * rep.dimension
     if kind == "fock":
-        rep = truncated_left_regular(g, args.depth, max_basis=args.max_basis)
+        rep = truncated_left_regular(
+            g, args.depth, max_basis=args.max_basis or DEFAULT_MAX_BASIS
+        )
         return rep, None
-    rep = n_nest_truncation(g, args.prefix_len, args.seed)
+    rep = n_nest_truncation(g, args.prefix_len, args.seed or 0)
     return rep, [1] * rep.dimension
 
 
 def _cmd_rep(args: argparse.Namespace) -> int:
-    if args.max_basis < 1:
+    for flag, kind in (("seed", "nnest"), ("max_basis", "fock")):
+        if getattr(args, flag) is not None and args.kind != kind:
+            raise ValueError(f"--{flag.replace('_', '-')} applies only to rep {kind}")
+    if args.max_basis is not None and args.max_basis < 1:
         raise ValueError("--max-basis must be positive")
     g = _load_graph(args.graph)
     rep, nest_blocks = _build_rep(args, g)
@@ -396,8 +413,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loop-choice", metavar="V=E,...", help="designated loop overrides (psi)")
     p.add_argument("--depth", type=int, default=2, help="truncation depth (fock)")
     p.add_argument("--prefix-len", type=int, default=4, help="walk length (nnest)")
-    p.add_argument("--seed", type=int, default=0, help="parameter rotation (nnest)")
-    p.add_argument("--max-basis", type=int, default=20_000, help="basis size cap (fock)")
+    p.add_argument("--seed", type=int, help="parameter rotation (nnest only; default 0)")
+    p.add_argument(
+        "--max-basis", type=int,
+        help=f"basis size cap (fock only; default {DEFAULT_MAX_BASIS})",
+    )
     p.add_argument("--emit", metavar="FILE", help="also write the JSON payload here")
     p.set_defaults(func=_cmd_rep)
 

@@ -29,8 +29,9 @@ class FormalElement:
     """A finitely supported map Path → coefficient over a fixed graph.
 
     Zero coefficients are never stored (exact-zero pruning only; floating
-    arithmetic on coefficients is otherwise untouched).  Instances are
-    immutable; arithmetic returns new elements.
+    arithmetic on coefficients is otherwise untouched).  A NaN or infinite
+    coefficient, given or summed, raises ``ValueError`` naming its path.
+    Instances are immutable; arithmetic returns new elements.
     """
 
     __slots__ = ("graph", "_terms")
@@ -52,6 +53,10 @@ class FormalElement:
             if validate:
                 graph.validate_path(path)
             acc[path] = acc.get(path, 0) + c
+        for p, c in acc.items():
+            if not cmath.isfinite(c):
+                label = f"vertex:{p.source}" if p.is_vertex else ",".join(p.traversal)
+                raise ValueError(f"path {label} has the non-finite coefficient {c!r}")
         self._terms = {p: c for p, c in acc.items() if c != 0}
 
     # -- constructors -------------------------------------------------------

@@ -155,7 +155,7 @@ def matrix_to_json(m) -> dict:
     return {
         "rows": rows,
         "cols": cols,
-        "entries": [[float(z.real), float(z.imag)] for z in a.reshape(-1)],
+        "entries": np.stack((a.real.ravel(), a.imag.ravel()), 1).tolist(),
     }
 
 

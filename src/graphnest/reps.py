@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 import numpy as np
 
 from .classify import is_strongly_transitive, ut_separating_condition
-from .errors import LimitError, PreconditionError
+from .errors import EmptyInputError, LimitError, PreconditionError
 from .graphs import (
     DirectedGraph,
     Path,
@@ -89,6 +89,9 @@ class _Images(Mapping):
 
 def _from_dense(g: DirectedGraph, k: int, vertex_images, edge_images):
     """The monomial form of dense images by name (see ``FiniteRepresentation``)."""
+    if not g.vertices:
+        # Only an image's shape bounds the dimension, and there is none.
+        raise EmptyInputError("a graph with no vertices has no images to bound the dimension")
     unknown = (set(vertex_images) - set(g.vertices)) | (set(edge_images) - set(g._edge_index))
     if unknown:
         raise ValueError(f"{sorted(map(repr, unknown))[0]} is not a vertex or edge of the graph")
@@ -138,7 +141,8 @@ class FiniteRepresentation:
     views ``vertex_images`` and ``edge_images`` build one k×k matrix per key.
 
     The constructor converts dense matrices by name, raising ``ValueError``
-    naming an image without that shape; the package's builders pass
+    naming an image without that shape (``EmptyInputError`` on a graph
+    without vertices, where no image bounds k); the package's builders pass
     ``labels`` and an ``(edge_names, rows, weights)`` table instead, which
     their layouts satisfy by construction.  ``orientation`` is "lower",
     "upper" or None; ``fock_basis`` is the truncated Fock basis, if any.

@@ -19,6 +19,9 @@ they build the dense representation at every point of a root-of-unity grid
 sized from the element's degree, read the pairing entry there, and take
 the discrete Fourier transform.  They check the package's recovery, which
 reads the same coefficient from a polynomial without sampling.
+
+``matrix_to_json_by_entries`` is the per-entry matrix encoding that the
+package's one-call numpy encoding replaces.
 """
 
 import itertools
@@ -417,6 +420,17 @@ def evaluate_dense(ps, ss, k, a):
                 m = m @ ss[name]
         out += c * m
     return out
+
+
+def matrix_to_json_by_entries(m):
+    """Row-major [re, im] pairs, one Python float pair per entry."""
+    a = np.asarray(m, dtype=np.complex128)
+    rows, cols = a.shape
+    return {
+        "rows": rows,
+        "cols": cols,
+        "entries": [[float(z.real), float(z.imag)] for z in a.reshape(-1)],
+    }
 
 
 # -- sampled recovery ------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, and output formats."""
 
+import cmath
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import graphnest as gn
+from graphnest import cli
 from conftest import loop_walk, two_loop_chain_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -279,10 +281,35 @@ def test_flags_are_accepted_only_where_read(args):
     assert "unrecognized arguments" in proc.stderr
 
 
-def test_rep_accepts_seed_and_max_basis():
-    proc = run_cli("rep", P2, "nnest", "--seed", "3", "--max-basis", "5", "--json")
+def test_rep_nnest_accepts_seed():
+    proc = run_cli("rep", P2, "nnest", "--seed", "3", "--json")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["representation"]["dimension"] == 5
+
+
+def test_rep_fock_accepts_max_basis():
+    proc = run_cli("rep", P2, "fock", "--depth", "1", "--max-basis", "3", "--json")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["representation"]["dimension"] == 3
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("phi", "--cycle", "a", "--lambda-arg", "0", "--seed", "9", "--max-basis", "3"),
+         "--seed applies only to rep nnest"),
+        (("fock", "--seed", "9"), "--seed applies only to rep nnest"),
+        (("nnest", "--max-basis", "5"), "--max-basis applies only to rep fock"),
+        (("psi", "--path", "b", "--lambda-arg", "0,0", "--max-basis", "3"),
+         "--max-basis applies only to rep fock"),
+    ],
+    ids=["seed-on-phi", "seed-on-fock", "max-basis-on-nnest", "max-basis-on-psi"],
+)
+def test_rep_rejects_seed_and_max_basis_on_kinds_that_ignore_them(args, message):
+    proc = run_cli("rep", P2, *args)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {message}\n"
+    assert proc.stdout == ""
 
 
 def test_missing_file_exits_3():
@@ -313,3 +340,130 @@ def test_output_is_deterministic(args):
     second = run_cli(*args)
     assert first.returncode == 0
     assert first.stdout == second.stdout
+
+
+# -- JSON output format, in process --------------------------------------------------
+
+G_P2 = gn.parse_graph(Path(P2).read_text())
+G_SCC = gn.parse_graph(Path(SCC).read_text())
+
+
+def _elem(g):
+    return gn.element_from_json(g, json.loads(Path(ELEM).read_text()))
+
+
+def _turns(*ts):
+    return [cmath.exp(2j * cmath.pi * t) for t in ts]
+
+
+def _rep_payload(g, kind, rep, nest_blocks):
+    return {
+        "graph": gn.graph_to_json(g),
+        "kind": kind,
+        "representation": gn.rep_to_json(rep),
+        "nest_blocks": nest_blocks,
+        "relations": gn.check_relations(rep).to_json(),
+    }
+
+
+def _rho_payload():
+    rep, nest = gn.rho_nest(G_SCC, G_SCC.path_from_traversal(["a", "e", "c"]), _turns(0, 0.25))
+    return _rep_payload(G_SCC, "rho", rep, list(nest.block_sizes))
+
+
+def _psi_payload():
+    rep = gn.psi_upper(G_P2, G_P2.path_from_traversal(["b", "b"]), _turns(0.1, 0.2, 0.3))
+    return _rep_payload(G_P2, "psi", rep, [1] * rep.dimension)
+
+
+def _nnest_payload():
+    rep = gn.n_nest_truncation(G_P2, 5, 7)
+    return _rep_payload(G_P2, "nnest", rep, [1] * rep.dimension)
+
+
+def _recover_payload():
+    value = gn.recover_nest(G_P2, _elem(G_P2), G_P2.path_from_traversal(["a", "b"]))
+    return {
+        "graph": gn.graph_to_json(G_P2),
+        "family": "nest",
+        "path": {"source": "v", "edges": ["a", "b"]},
+        "coefficient": [value.real, value.imag],
+    }
+
+
+def _radical_payload():
+    return {
+        "graph": gn.graph_to_json(G_SCC),
+        "generators": list(gn.radical_edge_generators(G_SCC)),
+        "element_in_radical": gn.is_in_radical(G_SCC, _elem(G_SCC)),
+    }
+
+
+def _separate_payload():
+    witness = gn.separate(G_P2, _elem(G_P2), "nest")
+    return {"graph": gn.graph_to_json(G_P2), "witness": witness.to_json()}
+
+
+#: Each subcommand's --json invocation, and the payload the library calls build.
+JSON_CASES = {
+    "classify": (
+        ("classify", SCC),
+        lambda: {"graph": gn.graph_to_json(G_SCC), "report": gn.classify(G_SCC).to_json()},
+    ),
+    "rep-fock": (
+        ("rep", P2, "fock", "--depth", "5"),
+        lambda: _rep_payload(G_P2, "fock", gn.truncated_left_regular(G_P2, 5), None),
+    ),
+    "rep-phi": (
+        ("rep", P2, "phi", "--cycle", "a,b", "--lambda-arg", "0.25"),
+        lambda: _rep_payload(
+            G_P2, "phi", gn.phi_cycle(G_P2, G_P2.path_from_traversal(["a", "b"]), _turns(0.25)[0]),
+            None,
+        ),
+    ),
+    "rep-rho": (("rep", SCC, "rho", "--path", "a,e,c", "--lambda-arg", "0,0.25"), _rho_payload),
+    "rep-psi": (("rep", P2, "psi", "--path", "b,b", "--lambda-arg", "0.1,0.2,0.3"), _psi_payload),
+    "rep-nnest": (("rep", P2, "nnest", "--prefix-len", "5", "--seed", "7"), _nnest_payload),
+    "separate": (("separate", P2, ELEM, "--family", "nest"), _separate_payload),
+    "recover": (("recover", P2, ELEM, "a,b", "--family", "nest"), _recover_payload),
+    "radical": (("radical", SCC, "--element", ELEM), _radical_payload),
+}
+
+
+def _as_json_values(payload):
+    """The payload as JSON reads it back: tuples become lists."""
+    return json.loads(json.dumps({"schema_version": 1, **payload}))
+
+
+@pytest.mark.parametrize("case", list(JSON_CASES))
+def test_json_output_is_one_line_holding_the_library_payload(case, capsys):
+    argv, build = JSON_CASES[case]
+    assert cli.main([*argv, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.loads(out) == _as_json_values(build())
+
+
+@pytest.mark.parametrize(
+    "argv, build",
+    [
+        (JSON_CASES["rep-psi"][0], _psi_payload),
+        (
+            JSON_CASES["separate"][0],
+            lambda: {
+                "graph": gn.graph_to_json(G_P2),
+                "representation": gn.rep_to_json(
+                    gn.separate(G_P2, _elem(G_P2), "nest").representation
+                ),
+            },
+        ),
+    ],
+    ids=["rep", "separate"],
+)
+def test_emitted_file_is_one_line_holding_the_library_payload(tmp_path, capsys, argv, build):
+    out = tmp_path / "out.json"
+    assert cli.main([*argv, "--emit", str(out)]) == 0
+    capsys.readouterr()
+    text = out.read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert json.loads(text) == _as_json_values(build())

@@ -253,3 +253,22 @@ def test_element_json_rejects_malformed(p2):
     for coeff in ([float("nan"), 0.0], [0.0, float("inf")]):
         with pytest.raises(gn.GraphParseError, match="non-finite"):
             gn.element_from_json(p2, {"terms": [{"coeff": coeff, "vertex": "v"}]})
+
+
+def test_non_finite_coefficients_are_rejected(p2):
+    v = p2.vertex_path("v")
+    # a NaN coefficient used to reach recovery, which returned nan+0j
+    with pytest.raises(ValueError, match="path vertex:v has the non-finite coefficient"):
+        gn.recover_nest(p2, gn.FormalElement(p2, [(v, float("nan"))]), v)
+    ab = p2.path_from_traversal(["a", "b"])
+    for coeff in (complex(0.0, float("inf")), -float("inf"), complex(float("nan"), 1.0)):
+        with pytest.raises(ValueError, match="path a,b has the non-finite coefficient"):
+            gn.FormalElement(p2, {ab: coeff})
+    # finite terms whose sum or scaling overflows are caught as well
+    big = gn.FormalElement(p2, [(ab, 1e308)])
+    with pytest.raises(ValueError, match="path a,b"):
+        big + big
+    with pytest.raises(ValueError, match="path a,b"):
+        big * 10.0
+    with pytest.raises(ValueError, match="path vertex:v"):
+        gn.FormalElement(p2, [(v, 1e308), (v, 1e308)])

@@ -1,5 +1,6 @@
 """Matrix kernel: norms, projections, span closure, JSON round trips."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -7,7 +8,15 @@ import numpy as np
 import pytest
 
 import graphnest as gn
-from exact_oracle import IMAG, ONE, ZERO, gmul, span_closure_dim_exact, to_complex
+from exact_oracle import (
+    IMAG,
+    ONE,
+    ZERO,
+    gmul,
+    matrix_to_json_by_entries,
+    span_closure_dim_exact,
+    to_complex,
+)
 
 
 def unit(i, j, k):
@@ -142,6 +151,39 @@ def test_matrix_json_round_trip():
     m = np.array([[0.5 + 0j, -1j], [2.0 + 3.0j, 0.0]])
     back = gn.matrix_from_json(gn.matrix_to_json(m))
     assert gn.matrices_equal(m, back, 0.0)
+
+
+def _edge_values_matrix():
+    tiny = 5e-324  # the smallest subnormal double
+    return np.array(
+        [
+            [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)],
+            [complex(tiny, -tiny), complex(1e300, -1e300), 0.5j],
+            [complex(2.2250738585072014e-308, 1e-310), -1e300j, 1 / 3],
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        _edge_values_matrix(),
+        np.zeros((0, 0), dtype=complex),
+        np.zeros((2, 0), dtype=complex),
+        np.array([[0.5j]]),
+        np.random.default_rng(8).standard_normal((7, 5, 2)).view(complex)[..., 0],
+        np.asfortranarray(np.arange(12.0).reshape(3, 4) * (1 - 2j)),
+    ],
+    ids=["signed-zero-subnormal-huge", "empty", "no-columns", "half-i", "random", "fortran"],
+)
+def test_matrix_json_matches_the_per_entry_encoding(m):
+    new, old = gn.matrix_to_json(m), matrix_to_json_by_entries(m)
+    # repr tells -0.0 from 0.0, which == does not
+    assert json.dumps(new) == json.dumps(old)
+    assert all(type(x) is float for pair in new["entries"] for x in pair)
+    back = gn.matrix_from_json(json.loads(json.dumps(new)))
+    assert back.shape == m.shape
+    assert back.tobytes() == np.ascontiguousarray(m, dtype=complex).tobytes()
 
 
 def test_matrix_json_rejects_malformed():

@@ -529,6 +529,13 @@ def test_rep_from_json_checks_its_input_before_allocating(p2):
     assert gn.rep_from_json(p2, {**ok, "orientation": "upper"}).orientation == "upper"
 
 
+def test_rep_from_json_on_a_graph_without_vertices_fails_before_allocating():
+    # no image bounds the dimension: this used to ask numpy for 7.28 TiB
+    empty = gn.DirectedGraph([], [])
+    with pytest.raises(gn.EmptyInputError, match="no vertices"):
+        gn.rep_from_json(empty, {"dimension": 10**12, "vertex_images": {}, "edge_images": {}})
+
+
 def test_dense_constructor_converts_exact_weighted_partial_permutations(p2):
     v = np.eye(2, dtype=complex)
     swap = np.array([[0, 0.5j], [0.25, 0]])
