@@ -16,15 +16,14 @@ subnormal separation witness entry); 3 file-system errors; 4 empty input
 (zero element, empty graph); 5 a construction's mathematical precondition
 fails.
 
-Every subcommand takes ``--json``; only ``rep`` takes ``--seed`` (the
-rotation of the nnest parameters, for ``rep … nnest`` only) and
-``--max-basis`` (the Fock basis cap, for ``rep … fock`` only), and exits 2
-when either is given with another kind.  Relation verdicts use the fixed
-tolerance ``linalg.NORM_TOL``.
+Every subcommand takes ``--json``.  A kind-specific ``rep`` flag given with
+a kind that does not read it (``REP_FLAG_KINDS``) exits 2 with "--FLAG
+applies only to rep KINDS".  Relation verdicts use ``linalg.NORM_TOL``.
 
-``--json`` (stdout) and ``--emit FILE`` write compact JSON: one line, keys
-sorted, ending in a newline, with ``schema_version`` 1.  Pipe it through
-``python3 -m json.tool`` to read it indented.
+Each command returns its JSON payload and a function rendering its text
+report; ``main`` writes one of the two to stdout.  ``--json`` and ``--emit
+FILE`` write compact JSON: one line, keys sorted, ending in a newline, with
+``schema_version`` 1.  Pipe it through ``python3 -m json.tool`` to read it.
 
 Unit-modulus parameters are written as fractions of a full turn:
 ``--lambda-arg 0.25`` means e^{2πi·0.25} = i.  Path arguments list edge names
@@ -56,6 +55,8 @@ from .errors import (
 )
 from .graphs import DirectedGraph, Path, graph_to_json, parse_graph
 from .recovery import (
+    is_in_radical,
+    radical_edge_generators,
     recover_irreducible,
     recover_nest,
     recover_upper,
@@ -165,10 +166,6 @@ def _write_emit(path: str, obj: dict) -> None:
         fh.write(_dump_json(obj))
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [z.real, z.imag]
-
-
 def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
@@ -176,51 +173,48 @@ def _yesno(flag: bool) -> str:
 # -- commands ------------------------------------------------------------------------
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace):
     g = _load_graph(args.graph)
     report = classify(g)
-    if args.json:
-        sys.stdout.write(
-            _dump_json({"graph": graph_to_json(g), "report": report.to_json()})
+
+    def text() -> list[str]:
+        s = report.graph_stats
+        comps = "; ".join(
+            "{{{0}}} {1} loops={2}".format(
+                ",".join(c["vertices"]), c["class"], c["loop_multiplicity"]
+            )
+            for c in s["components"]
         )
-        return EXIT_OK
-    s = report.graph_stats
-    comps = "; ".join(
-        "{{{0}}} {1} loops={2}".format(
-            ",".join(c["vertices"]), c["class"], c["loop_multiplicity"]
-        )
-        for c in s["components"]
-    )
-    fn = report.faithful_nest
-    lines = [
-        f"vertices:             {s['vertices']}",
-        f"edges:                {s['edges']}",
-        f"sinks:                {' '.join(s['sinks']) or '(none)'}",
-        f"sources:              {' '.join(s['sources']) or '(none)'}",
-        f"components:           {comps}",
-        f"semisimple:           {_yesno(report.semisimple)}",
-        f"strongly semisimple:  {_yesno(report.strongly_semisimple)}",
-        f"radical generators:   {' '.join(report.radical_generators) or '(none)'}",
-        f"ut separating:        {_yesno(report.ut_separating)}",
-        f"faithful irreducible: {_yesno(report.faithful_irreducible)}",
-        (
-            f"faithful nest:        {_yesno(fn.satisfied)}  "
-            f"(order {_yesno(fn.quotient_totally_ordered)}, "
-            f"no-cycle {_yesno(fn.no_cycle_component)}, "
-            f"chain {_yesno(fn.trivial_chain_interval)}"
-            + (", vacuous" if fn.c3_vacuous else "")
-            + ")"
-        ),
-        (
-            f"n-nest case:          {report.n_nest.case}"
-            + (" (requires an infinite graph)" if report.n_nest.requires_infinite else "")
-        ),
-    ]
-    print("\n".join(lines))
-    return EXIT_OK
+        fn = report.faithful_nest
+        return [
+            f"vertices:             {s['vertices']}",
+            f"edges:                {s['edges']}",
+            f"sinks:                {' '.join(s['sinks']) or '(none)'}",
+            f"sources:              {' '.join(s['sources']) or '(none)'}",
+            f"components:           {comps}",
+            f"semisimple:           {_yesno(report.semisimple)}",
+            f"strongly semisimple:  {_yesno(report.strongly_semisimple)}",
+            f"radical generators:   {' '.join(report.radical_generators) or '(none)'}",
+            f"ut separating:        {_yesno(report.ut_separating)}",
+            f"faithful irreducible: {_yesno(report.faithful_irreducible)}",
+            (
+                f"faithful nest:        {_yesno(fn.satisfied)}  "
+                f"(order {_yesno(fn.quotient_totally_ordered)}, "
+                f"no-cycle {_yesno(fn.no_cycle_component)}, "
+                f"chain {_yesno(fn.trivial_chain_interval)}"
+                + (", vacuous" if fn.c3_vacuous else "")
+                + ")"
+            ),
+            (
+                f"n-nest case:          {report.n_nest.case}"
+                + (" (requires an infinite graph)" if report.n_nest.requires_infinite else "")
+            ),
+        ]
+
+    return {"graph": graph_to_json(g), "report": report.to_json()}, text
 
 
-def _cmd_separate(args: argparse.Namespace) -> int:
+def _cmd_separate(args: argparse.Namespace):
     g = _load_graph(args.graph)
     a = _load_element(args.element, g)
     witness = separate(
@@ -235,29 +229,37 @@ def _cmd_separate(args: argparse.Namespace) -> int:
                 "representation": rep_to_json(witness.representation),
             },
         )
-    if args.json:
-        sys.stdout.write(
-            _dump_json({"graph": graph_to_json(g), "witness": witness.to_json()})
+
+    def text() -> list[str]:
+        blocks = (
+            " ".join(str(b) for b in witness.nest.block_sizes)
+            if witness.nest
+            else "(none)"
         )
-        return EXIT_OK
-    blocks = (
-        " ".join(str(b) for b in witness.nest.block_sizes)
-        if witness.nest
-        else "(none)"
-    )
-    point = " ".join(
-        f"{z.real!r} {z.imag!r}" for z in witness.witness_point
-    ) or "(none)"
-    path = ",".join(witness.path.traversal) or f"vertex:{witness.path.source}"
-    print(f"family:        {witness.family}")
-    print(f"support path:  {path}")
-    print(f"dimension:     {witness.representation.dimension}")
-    print(f"nest blocks:   {blocks}")
-    print(f"entry:         [{witness.row}, {witness.col}] = "
-          f"{witness.entry_value.real!r} {witness.entry_value.imag!r}")
-    print(f"lambda point:  {point}")
-    print(f"value:         {witness.value!r}")
-    return EXIT_OK
+        point = " ".join(
+            f"{z.real!r} {z.imag!r}" for z in witness.witness_point
+        ) or "(none)"
+        path = ",".join(witness.path.traversal) or f"vertex:{witness.path.source}"
+        return [
+            f"family:        {witness.family}",
+            f"support path:  {path}",
+            f"dimension:     {witness.representation.dimension}",
+            f"nest blocks:   {blocks}",
+            f"entry:         [{witness.row}, {witness.col}] = "
+            f"{witness.entry_value.real!r} {witness.entry_value.imag!r}",
+            f"lambda point:  {point}",
+            f"value:         {witness.value!r}",
+        ]
+
+    return {"graph": graph_to_json(g), "witness": witness.to_json()}, text
+
+
+#: The ``rep`` kinds that read each kind-specific flag, in checking order.
+REP_FLAG_KINDS = {
+    "cycle": ("phi",), "path": ("rho", "psi"), "lambda_arg": ("phi", "rho", "psi"),
+    "loop_choice": ("psi",), "depth": ("fock",), "prefix_len": ("nnest",),
+    "seed": ("nnest",), "max_basis": ("fock",),
+}
 
 
 def _build_rep(
@@ -288,18 +290,16 @@ def _build_rep(
         )
         return rep, [1] * rep.dimension
     if kind == "fock":
-        rep = truncated_left_regular(
-            g, args.depth, max_basis=args.max_basis or DEFAULT_MAX_BASIS
-        )
-        return rep, None
-    rep = n_nest_truncation(g, args.prefix_len, args.seed or 0)
+        depth = 2 if args.depth is None else args.depth
+        return truncated_left_regular(g, depth, max_basis=args.max_basis or DEFAULT_MAX_BASIS), None
+    rep = n_nest_truncation(g, 4 if args.prefix_len is None else args.prefix_len, args.seed or 0)
     return rep, [1] * rep.dimension
 
 
-def _cmd_rep(args: argparse.Namespace) -> int:
-    for flag, kind in (("seed", "nnest"), ("max_basis", "fock")):
-        if getattr(args, flag) is not None and args.kind != kind:
-            raise ValueError(f"--{flag.replace('_', '-')} applies only to rep {kind}")
+def _cmd_rep(args: argparse.Namespace):
+    for flag, kinds in REP_FLAG_KINDS.items():
+        if getattr(args, flag) is not None and args.kind not in kinds:
+            raise ValueError(f"--{flag.replace('_', '-')} applies only to rep {', '.join(kinds)}")
     if args.max_basis is not None and args.max_basis < 1:
         raise ValueError("--max-basis must be positive")
     g = _load_graph(args.graph)
@@ -314,21 +314,22 @@ def _cmd_rep(args: argparse.Namespace) -> int:
     }
     if args.emit:
         _write_emit(args.emit, payload)
-    if args.json:
-        sys.stdout.write(_dump_json(payload))
-        return EXIT_OK
-    verdicts = relations.verdicts
-    print(f"kind:        {args.kind}")
-    print(f"dimension:   {rep.dimension}")
-    print(f"orientation: {rep.orientation or '(none)'}")
-    for name, flag in verdicts.items():
-        print(f"{name + ':':36s} {_yesno(flag)}")
-    if not args.emit:
-        print("(use --json or --emit FILE for the full matrix data)")
-    return EXIT_OK
+
+    def text() -> list[str]:
+        lines = [
+            f"kind:        {args.kind}",
+            f"dimension:   {rep.dimension}",
+            f"orientation: {rep.orientation or '(none)'}",
+        ]
+        lines += [f"{name + ':':36s} {_yesno(ok)}" for name, ok in relations.verdicts.items()]
+        if not args.emit:
+            lines.append("(use --json or --emit FILE for the full matrix data)")
+        return lines
+
+    return payload, text
 
 
-def _cmd_recover(args: argparse.Namespace) -> int:
+def _cmd_recover(args: argparse.Namespace):
     g = _load_graph(args.graph)
     a = _load_element(args.element, g)
     w = _parse_pathspec(g, args.path)
@@ -340,43 +341,32 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         value = recover_upper(
             g, a, w, loop_choice=_parse_loop_choice(g, args.loop_choice)
         )
-    if args.json:
-        sys.stdout.write(
-            _dump_json(
-                {
-                    "graph": graph_to_json(g),
-                    "family": args.family,
-                    "path": {"source": w.source, "edges": list(w.traversal)},
-                    "coefficient": _complex_pair(value),
-                }
-            )
-        )
-        return EXIT_OK
-    print(f"{value.real!r} {value.imag!r}")
-    return EXIT_OK
+    payload = {
+        "graph": graph_to_json(g),
+        "family": args.family,
+        "path": {"source": w.source, "edges": list(w.traversal)},
+        "coefficient": [value.real, value.imag],
+    }
+    return payload, lambda: [f"{value.real!r} {value.imag!r}"]
 
 
-def _cmd_radical(args: argparse.Namespace) -> int:
-    from .recovery import is_in_radical, radical_edge_generators
-
+def _cmd_radical(args: argparse.Namespace):
     g = _load_graph(args.graph)
     generators = radical_edge_generators(g)
-    membership: bool | None = None
-    if args.element:
-        a = _load_element(args.element, g)
-        membership = is_in_radical(g, a)
-    if args.json:
-        payload: dict = {
-            "graph": graph_to_json(g),
-            "generators": list(generators),
-            "element_in_radical": membership,
-        }
-        sys.stdout.write(_dump_json(payload))
-        return EXIT_OK
-    print(f"generators: {' '.join(generators) or '(none)'}")
-    if membership is not None:
-        print(f"element in radical: {_yesno(membership)}")
-    return EXIT_OK
+    membership = is_in_radical(g, _load_element(args.element, g)) if args.element else None
+    payload = {
+        "graph": graph_to_json(g),
+        "generators": list(generators),
+        "element_in_radical": membership,
+    }
+
+    def text() -> list[str]:
+        lines = [f"generators: {' '.join(generators) or '(none)'}"]
+        if membership is not None:
+            lines.append(f"element in radical: {_yesno(membership)}")
+        return lines
+
+    return payload, text
 
 
 # -- argument parsing ----------------------------------------------------------------
@@ -411,8 +401,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path", metavar="SPEC", help="path edges in walking order, or vertex:NAME (rho, psi)")
     p.add_argument("--lambda-arg", metavar="T1,T2,...", help="unit-circle parameters as fractions of a turn")
     p.add_argument("--loop-choice", metavar="V=E,...", help="designated loop overrides (psi)")
-    p.add_argument("--depth", type=int, default=2, help="truncation depth (fock)")
-    p.add_argument("--prefix-len", type=int, default=4, help="walk length (nnest)")
+    p.add_argument("--depth", type=int, help="truncation depth (fock only; default 2)")
+    p.add_argument("--prefix-len", type=int, help="walk length (nnest only; default 4)")
     p.add_argument("--seed", type=int, help="parameter rotation (nnest only; default 0)")
     p.add_argument(
         "--max-basis", type=int,
@@ -440,10 +430,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, text = args.func(args)
+        sys.stdout.write(_dump_json(payload) if args.json else "\n".join(text()) + "\n")
     except tuple(cls for cls, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

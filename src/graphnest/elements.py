@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import GraphParseError, LimitError
+from .errors import GraphParseError
 from .graphs import DirectedGraph, Path, compose, _levels
 from .reps import FiniteRepresentation
 
@@ -227,19 +227,12 @@ class TruncatedFockBasis:
 def truncated_fock_basis(
     g: DirectedGraph, depth: int, *, max_basis: int = DEFAULT_MAX_BASIS
 ) -> TruncatedFockBasis:
-    """Enumerate all paths of length ≤ depth across the whole graph."""
+    """Enumerate all paths of length ≤ depth across the whole graph; raises
+    ``LimitError`` past ``max_basis`` paths."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    collected: list[Path] = []
-    for v in g.vertices:
-        for level in _levels(g, v, depth, max_paths=max_basis + 1):
-            collected.extend(level)
-            if len(collected) > max_basis:
-                raise LimitError(
-                    f"truncated Fock basis would exceed {max_basis} paths at depth {depth}"
-                )
-    collected.sort(key=g.path_sort_key)
-    return TruncatedFockBasis(depth, tuple(collected))
+    levels = _levels(g, g.vertices, depth, max_basis)
+    return TruncatedFockBasis(depth, tuple(p for level in levels for p in level))
 
 
 def truncated_left_regular(

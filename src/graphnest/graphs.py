@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -225,9 +226,6 @@ class DirectedGraph:
             return self._edge_index[name]
         except KeyError:
             raise PathError(f"unknown edge {name!r}") from None
-
-    def has_vertex(self, v: str) -> bool:
-        return v in self._vertex_index
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         return tuple(self._out[v])
@@ -683,27 +681,32 @@ def decompose_path(g: DirectedGraph, w: Path) -> PathDecomposition:
 # -- enumeration -----------------------------------------------------------------
 
 
-def _levels(g: DirectedGraph, start: str, max_len: int, max_paths: int) -> Iterator[list[Path]]:
-    """Yield all paths out of ``start`` grouped by length, each level in
-    lexicographic (declaration-order) order."""
-    produced = 1
-    level = [g.vertex_path(start)]
-    yield level
-    for _ in range(max_len):
-        nxt: list[Path] = []
-        for p in level:
-            for e in g.out_edges(p.target):
-                nxt.append(Path(p.source, e.target, (e.name,) + p.edges))
-                produced += 1
-                if produced > max_paths:
-                    raise LimitError(
-                        f"path enumeration exceeded the cap of {max_paths} paths; "
-                        "restrict max_len or the graph"
-                    )
-        if not nxt:
+def _levels(
+    g: DirectedGraph, starts: Sequence[str], max_len: int, max_paths: int
+) -> Iterator[list[Path]]:
+    """Yield the paths out of ``starts`` (given in declaration order) grouped
+    by length 0 … ``max_len``, each level in ``path_sort_key`` order, until a
+    level is empty.  Raises ``LimitError`` past ``max_paths`` paths."""
+    level = [g.vertex_path(v) for v in starts]
+    produced = len(level)
+    for length in range(max_len + 1):
+        if produced > max_paths:
+            raise LimitError(f"path enumeration exceeded the cap of {max_paths} paths")
+        if not level:
             return
-        yield nxt
-        level = nxt
+        yield level
+        if length < max_len:
+            grown = (
+                Path(p.source, e.target, (e.name,) + p.edges)
+                for p in level
+                for e in g.out_edges(p.target)
+            )
+            level = list(islice(grown, max_paths - produced + 1))
+            produced += len(level)
+            if length == 0:
+                # One-edge paths sort by edge index, whatever their start;
+                # extending a sorted level edge by edge keeps it sorted.
+                level.sort(key=g.path_sort_key)
 
 
 def enumerate_paths(
@@ -723,7 +726,7 @@ def enumerate_paths(
     g.vertex_index(source)
     g.vertex_index(target)
     out: list[Path] = []
-    for level in _levels(g, source, max_len, MAX_ENUM_PATHS):
+    for level in _levels(g, [source], max_len, MAX_ENUM_PATHS):
         out.extend(p for p in level if p.target == target)
     return out
 

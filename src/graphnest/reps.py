@@ -32,11 +32,13 @@ from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .classify import is_strongly_transitive, ut_separating_condition
+from .classify import check_n_nest_case, ut_separating_condition
 from .errors import EmptyInputError, LimitError, PreconditionError
 from .graphs import (
     DirectedGraph,
     Path,
+    _bfs_shortest_lex,
+    _levels,
     complete_to_cycle,
     compose,
     decompose_path,
@@ -55,10 +57,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Modulus slack accepted when checking |λ| = 1 on constructor inputs.
 UNIT_MODULUS_TOL = 1e-12
 
-#: Default ceiling on the number of (nonvanishing) paths purity_defect walks.
-DEFAULT_MAX_DEFECT_PATHS = 100_000
+#: Cap on the number of (nonvanishing) paths ``purity_defect`` walks.
+MAX_DEFECT_PATHS = 100_000
 
-#: Cap on the free words ``n_nest_truncation`` enumerates at one length.
+#: Cap on all the free words ``n_nest_truncation`` enumerates, of every
+#: length so far (the length-0 words count too), not on one length's words.
 MAX_FREE_WORDS = 100_000
 
 
@@ -211,11 +214,6 @@ class FiniteRepresentation:
                 else:
                     out[i, col] += c * w
         return out
-
-    def evaluate_path(self, p: Path) -> np.ndarray:
-        """Matrix of a path: the product of edge images in composition
-        order (a vertex path gives its projection)."""
-        return self._sum([(p, 1.0)])
 
     # -- identity -------------------------------------------------------------
 
@@ -407,7 +405,6 @@ def phi_cycle(g: DirectedGraph, u: Path, lam: complex) -> FiniteRepresentation:
 class _NestBlock:
     """One diagonal block of the nest construction."""
 
-    segment: Path         # the component-internal piece of the path
     cycle: Path | None    # primitive cycle carrying the block; None = vertex block
     size: int             # block dimension (cycle length, or 1)
     offset: int           # global index of the block's first basis vector
@@ -429,7 +426,6 @@ class _NestBlock:
 class NestPlan:
     """Blueprint shared by the nest constructor and the nest recovery."""
 
-    path: Path
     blocks: tuple[_NestBlock, ...]
     crossing: tuple[str, ...]
     layout: _Layout = field(repr=False, compare=False)
@@ -471,11 +467,11 @@ def nest_plan(g: DirectedGraph, w: Path) -> NestPlan:
     offset = 0
     for axis, seg in enumerate(dec.segments):
         if seg.is_vertex:
-            blocks.append(_NestBlock(seg, None, 1, offset, 0, 0))
+            blocks.append(_NestBlock(None, 1, offset, 0, 0))
             labels.append(seg.source)
         else:
             root, prefix, wraps = _carrier(g, seg)
-            blocks.append(_NestBlock(seg, root, root.length, offset, prefix, wraps))
+            blocks.append(_NestBlock(root, root.length, offset, prefix, wraps))
             block_labels, block_entries = _cycle_entries(g, root, offset, axis)
             labels += block_labels
             entries += block_entries
@@ -483,7 +479,7 @@ def nest_plan(g: DirectedGraph, w: Path) -> NestPlan:
     for name, src, dst in zip(dec.crossing, blocks, blocks[1:]):
         entries.append((name, src.exit_index, dst.entry_index, None))
     layout = _Layout(g, labels, entries, len(blocks), "lower")
-    return NestPlan(w, tuple(blocks), dec.crossing, layout)
+    return NestPlan(tuple(blocks), dec.crossing, layout)
 
 
 def rho_nest(
@@ -511,10 +507,8 @@ def rho_nest(
 class UpperPlan:
     """Blueprint shared by the triangular constructor and its recovery."""
 
-    path: Path                      # the walked skeleton (avoids designated loops)
     positions: tuple[str, ...]      # vertex at each basis position (length k)
     loop_positions: tuple[int, ...]  # 1-based positions whose vertex has a loop
-    designated: dict[str, str]      # loop vertex -> designated loop edge
     layout: _Layout = field(repr=False, compare=False)
 
     @property
@@ -575,7 +569,7 @@ def upper_plan(
     ]
     entries += [(name, j - 1, j, None) for j, name in enumerate(walk, start=1)]
     layout = _Layout(g, positions, entries, len(loop_positions), "lower")
-    return UpperPlan(w, positions, loop_positions, designated, layout)
+    return UpperPlan(positions, loop_positions, layout)
 
 
 def psi_upper(
@@ -583,8 +577,6 @@ def psi_upper(
     w: Path,
     lambdas: Sequence[complex],
     loop_choice: Mapping[str, str] | None = None,
-    *,
-    require_distinct: bool = True,
 ) -> FiniteRepresentation:
     """Triangular representation on k = |w|+1 dimensions from a walk w that
     avoids designated loops.
@@ -601,13 +593,10 @@ def psi_upper(
     lams = _check_parameters(
         lambdas, len(plan.loop_positions), "loop-supporting position"
     )
-    if require_distinct:
-        for i in range(len(lams)):
-            for j in range(i + 1, len(lams)):
-                if abs(lams[i] - lams[j]) <= UNIT_MODULUS_TOL:
-                    raise PreconditionError(
-                        "diagonal parameters must be pairwise distinct"
-                    )
+    for i in range(len(lams)):
+        for j in range(i + 1, len(lams)):
+            if abs(lams[i] - lams[j]) <= UNIT_MODULUS_TOL:
+                raise PreconditionError("diagonal parameters must be pairwise distinct")
     return plan.layout.dense(lams)
 
 
@@ -646,63 +635,41 @@ def _next_prime(n: int) -> int:
 def n_nest_truncation(g: DirectedGraph, prefix_len: int, seed: int) -> FiniteRepresentation:
     """Finite corner of the naturally ordered nest construction.
 
-    Requires a strongly transitive graph with a loop at every vertex.  The
-    designated loops are the first-declared loop per vertex; the remaining
-    ("free") words are enumerated by length then declaration order and
+    Requires a graph in n-nest case One: strongly transitive with a loop at
+    every vertex.  The designated loops are the first-declared loop per
+    vertex (``designated_loops``); the remaining ("free") words, read from
+    the graph without them by length then declaration order, are
     concatenated — joined by shortest connecting paths — into one long walk,
-    truncated to ``prefix_len`` edges.  Diagonal parameters are roots of
-    unity of a prime order ≥ 101, rotated by ``seed``, so they are
-    automatically distinct.  Returns ``psi_upper`` of the walk.
+    truncated to ``prefix_len`` edges.  Raises ``LimitError`` once more than
+    ``MAX_FREE_WORDS`` free words, of all lengths so far, are enumerated.
+    Diagonal parameters are roots of unity of a prime order ≥ 101, rotated
+    by ``seed``, so they are automatically distinct.  Returns ``psi_upper``
+    of the walk.
     """
     if prefix_len < 0:
         raise ValueError("prefix_len must be nonnegative")
-    if not is_strongly_transitive(g) or not all(g.loops_at(x) for x in g.vertices):
+    if check_n_nest_case(g).case != "One":
         raise PreconditionError(
             "the naturally ordered nest corner needs a strongly transitive "
             "graph with a loop at every vertex"
         )
-    designated = {x: g.loops_at(x)[0].name for x in g.vertices}
+    designated = designated_loops(g)
     reserved = set(designated.values())
-
-    def free_words():
-        level = [g.vertex_path(v) for v in g.vertices]
-        while True:
-            nxt = []
-            for p in level:
-                for e in g.out_edges(p.target):
-                    if e.name in reserved:
-                        continue
-                    nxt.append(Path(p.source, e.target, (e.name,) + p.edges))
-            if not nxt:
-                return
-            if len(nxt) > MAX_FREE_WORDS:
-                raise LimitError(
-                    f"free-word enumeration exceeded the cap of {MAX_FREE_WORDS} paths"
-                )
-            nxt.sort(key=g.path_sort_key)
-            yield from nxt
-            level = nxt
-
-    from .graphs import _bfs_shortest_lex
-
+    kept = [(e.name, e.source, e.target) for e in g.edges if e.name not in reserved]
+    # A strongly transitive graph keeps a cycle without its designated
+    # loops, so there are free words of every length.
+    free = _levels(DirectedGraph(g.vertices, kept), g.vertices, max(prefix_len, 1), MAX_FREE_WORDS)
     edges: list[str] = []
-    start_vertex: str | None = None
-    current_end: str | None = None
-    for word in free_words():
-        if current_end is None:
-            start_vertex = word.source
-        else:
-            connector = _bfs_shortest_lex(g, current_end, word.source)
-            assert connector is not None  # strongly transitive
-            edges.extend(connector)
-        edges.extend(word.traversal)
-        current_end = word.target
+    end = None  # where the walk stands
+    for word in (w for level in free for w in level if w.edges):
+        if end is not None:
+            edges += _bfs_shortest_lex(g, end, word.source)
+        edges += word.traversal
+        end = word.target
         if len(edges) >= prefix_len:
             break
-    if start_vertex is None:  # pragma: no cover - unreachable for valid inputs
-        raise PreconditionError("the graph admits no loop-avoiding words")
-    edges = edges[:prefix_len]
-    walk = g.path_from_traversal(edges) if edges else g.vertex_path(start_vertex)
+    start = g.edge(edges[0]).source
+    walk = g.path_from_traversal(edges[:prefix_len]) if prefix_len else g.vertex_path(start)
 
     plan = upper_plan(g, walk, designated)
     order = _next_prime(max(101, plan.k + 1))
@@ -837,14 +804,12 @@ def check_relations(
     )
 
 
-def purity_defect(
-    rep: FiniteRepresentation, d: int, *, max_paths: int = DEFAULT_MAX_DEFECT_PATHS
-) -> float:
+def purity_defect(rep: FiniteRepresentation, d: int) -> float:
     """‖Σ over paths p of length d of ρ(p)ρ(p)^*‖.
 
     Walks the paths explicitly with incremental products of partial maps,
     dropping exactly vanishing partial products; raises a limit error if
-    the surviving path count exceeds ``max_paths``.  The sum is diagonal.
+    the surviving path count exceeds ``MAX_DEFECT_PATHS``.  The sum is diagonal.
     """
     if d < 1:
         raise ValueError("depth must be ≥ 1")
@@ -867,8 +832,8 @@ def purity_defect(
         weights = np.take_along_axis(weights_of[edge], via, axis=1) * weights[path]
         live = (rows >= 0) & (weights != 0)
         survive = live.any(axis=1)
-        if np.count_nonzero(survive) > max_paths:
-            raise LimitError(f"purity walk exceeded {max_paths} surviving paths")
+        if np.count_nonzero(survive) > MAX_DEFECT_PATHS:
+            raise LimitError(f"purity walk exceeded {MAX_DEFECT_PATHS} surviving paths")
         rows, weights = np.where(live, rows, -1)[survive], weights[survive]
         at = target_of[edge[survive]]
     acc = np.zeros(rep.dimension + 1)

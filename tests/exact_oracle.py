@@ -22,8 +22,14 @@ reads the same coefficient from a polynomial without sampling.
 
 ``matrix_to_json_by_entries`` is the per-entry matrix encoding that the
 package's one-call numpy encoding replaces.
+
+``fock_basis_per_vertex`` and ``n_nest_by_free_word_walk`` enumerate paths
+by length the way the package did before it had one enumerator: the Fock
+basis vertex by vertex with one final sort, and the free words of the
+naturally ordered nest by a walk of their own that sorts each length.
 """
 
+import cmath
 import itertools
 import math
 from fractions import Fraction
@@ -31,6 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 import graphnest as gn
+from graphnest.graphs import _bfs_shortest_lex
 
 ZERO = (Fraction(0), Fraction(0))
 ONE = (Fraction(1), Fraction(0))
@@ -518,9 +525,75 @@ def recover_upper_sampled(g, a, v, loop_choice=None, oversample=1):
         occurrences = max(p.traversal.count(loop) for p in a.support) if a.support else 0
         counts.append(oversample * (1 + max(m_j, min(occurrences, slack))))
     coeff = _sampled_coefficient(
-        lambda point: gn.psi_upper(
-            g, skeleton, point, loop_choice, require_distinct=False
-        ),
+        lambda point: gn.upper_plan(g, skeleton, loop_choice).layout.dense(point),
         a, plan.k - 1, 0, tuple(counts), frequency,
     )
     return (2.0 ** v.length) * coeff
+
+
+# -- path enumeration by length --------------------------------------------------
+
+
+def fock_basis_per_vertex(g, depth):
+    """Paths of length <= ``depth``: each vertex's paths level by level,
+    then all of them sorted by ``path_sort_key``."""
+    collected = []
+    for v in g.vertices:
+        level = [g.vertex_path(v)]
+        collected += level
+        for _ in range(depth):
+            level = [
+                gn.Path(p.source, e.target, (e.name,) + p.edges)
+                for p in level
+                for e in g.out_edges(p.target)
+            ]
+            collected += level
+    return tuple(sorted(collected, key=g.path_sort_key))
+
+
+def _free_words(g, reserved):
+    """Words avoiding the ``reserved`` edges, by length then declaration
+    order; each length is built from the last and sorted."""
+    level = [g.vertex_path(v) for v in g.vertices]
+    while True:
+        nxt = [
+            gn.Path(p.source, e.target, (e.name,) + p.edges)
+            for p in level
+            for e in g.out_edges(p.target)
+            if e.name not in reserved
+        ]
+        if not nxt:
+            return
+        nxt.sort(key=g.path_sort_key)
+        yield from nxt
+        level = nxt
+
+
+def _prime_at_least(n):
+    while n < 2 or any(n % d == 0 for d in range(2, math.isqrt(n) + 1)):
+        n += 1
+    return n
+
+
+def n_nest_by_free_word_walk(g, prefix_len, seed):
+    """The naturally ordered nest corner of a case-One graph: the free words
+    joined by shortest connecting paths, cut to ``prefix_len`` edges, with
+    roots of unity of a prime order >= 101 on the designated loops."""
+    designated = {x: g.loops_at(x)[0].name for x in g.vertices}
+    edges, start, end = [], None, None
+    for word in _free_words(g, set(designated.values())):
+        if end is None:
+            start = word.source
+        else:
+            edges += _bfs_shortest_lex(g, end, word.source)
+        edges += word.traversal
+        end = word.target
+        if len(edges) >= prefix_len:
+            break
+    edges = edges[:prefix_len]
+    walk = g.path_from_traversal(edges) if edges else g.vertex_path(start)
+    plan = gn.upper_plan(g, walk, designated)
+    order = _prime_at_least(max(101, plan.k + 1))
+    return plan.layout.dense(
+        [cmath.exp(2j * cmath.pi * ((seed + j) % order) / order) for j in plan.loop_positions]
+    )

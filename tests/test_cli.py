@@ -302,14 +302,35 @@ def test_rep_fock_accepts_max_basis():
         (("nnest", "--max-basis", "5"), "--max-basis applies only to rep fock"),
         (("psi", "--path", "b", "--lambda-arg", "0,0", "--max-basis", "3"),
          "--max-basis applies only to rep fock"),
+        (("psi", "--path", "b", "--lambda-arg", "0,0", "--cycle", "b"),
+         "--cycle applies only to rep phi"),
+        (("phi", "--cycle", "a", "--lambda-arg", "0", "--depth", "7", "--prefix-len", "3",
+          "--path", "b", "--loop-choice", "v=a"),
+         "--path applies only to rep rho, psi"),
+        (("fock", "--lambda-arg", "0"), "--lambda-arg applies only to rep phi, rho, psi"),
+        (("rho", "--path", "a", "--lambda-arg", "0", "--loop-choice", "v=a"),
+         "--loop-choice applies only to rep psi"),
+        (("nnest", "--depth", "3"), "--depth applies only to rep fock"),
+        (("fock", "--prefix-len", "3"), "--prefix-len applies only to rep nnest"),
     ],
-    ids=["seed-on-phi", "seed-on-fock", "max-basis-on-nnest", "max-basis-on-psi"],
+    ids=[
+        "seed-on-phi", "seed-on-fock", "max-basis-on-nnest", "max-basis-on-psi",
+        "cycle-on-psi", "path-on-phi", "lambda-arg-on-fock", "loop-choice-on-rho",
+        "depth-on-nnest", "prefix-len-on-fock",
+    ],
 )
 def test_rep_rejects_seed_and_max_basis_on_kinds_that_ignore_them(args, message):
     proc = run_cli("rep", P2, *args)
     assert proc.returncode == 2
     assert proc.stderr == f"error: {message}\n"
     assert proc.stdout == ""
+
+
+def test_fock_limit_error_states_the_max_basis(capsys):
+    assert cli.main(["rep", P2, "fock", "--depth", "3", "--max-basis", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: path enumeration exceeded the cap of 5 paths\n"
+    assert captured.out == ""
 
 
 def test_missing_file_exits_3():
@@ -467,3 +488,107 @@ def test_emitted_file_is_one_line_holding_the_library_payload(tmp_path, capsys, 
     text = out.read_text()
     assert text.endswith("\n") and text.count("\n") == 1
     assert json.loads(text) == _as_json_values(build())
+
+
+# -- text output, in process ---------------------------------------------------------
+
+_REP_HINT = "(use --json or --emit FILE for the full matrix data)\n"
+
+
+def _rep_text(kind, dimension, orientation, ranges_orthogonal):
+    return (
+        f"kind:        {kind}\n"
+        f"dimension:   {dimension}\n"
+        f"orientation: {orientation}\n"
+        "vertex_projections_orthogonal:       yes\n"
+        f"edge_ranges_orthogonal:              {ranges_orthogonal}\n"
+        "edges_partial_isometries:            no\n"
+        "range_sum_dominated:                 yes\n"
+    )
+
+
+def _separate_text(family, blocks):
+    return (
+        f"family:        {family}\n"
+        "support path:  vertex:v\n"
+        "dimension:     1\n"
+        f"nest blocks:   {blocks}\n"
+        "entry:         [0, 0] = 1.5 0.0\n"
+        "lambda point:  1.0 0.0\n"
+        "value:         1.5\n"
+    )
+
+#: Each subcommand's text report, byte for byte.
+TEXT_CASES = {
+    "classify-p2": (
+        ("classify", P2),
+        "vertices:             1\n"
+        "edges:                2\n"
+        "sinks:                (none)\n"
+        "sources:              (none)\n"
+        "components:           {v} StronglyTransitive loops=Infinite\n"
+        "semisimple:           yes\n"
+        "strongly semisimple:  yes\n"
+        "radical generators:   (none)\n"
+        "ut separating:        yes\n"
+        "faithful irreducible: yes\n"
+        "faithful nest:        yes  (order yes, no-cycle yes, chain yes, vacuous)\n"
+        "n-nest case:          One\n",
+    ),
+    "classify-scc": (
+        ("classify", SCC),
+        "vertices:             4\n"
+        "edges:                7\n"
+        "sinks:                (none)\n"
+        "sources:              (none)\n"
+        "components:           {v} StronglyTransitive loops=Infinite; {w} Cycle loops=One; "
+        "{z} Trivial loops=Zero; {u} Cycle loops=One\n"
+        "semisimple:           no\n"
+        "strongly semisimple:  no\n"
+        "radical generators:   e f h\n"
+        "ut separating:        yes\n"
+        "faithful irreducible: no\n"
+        "faithful nest:        no  (order yes, no-cycle no, chain yes)\n"
+        "n-nest case:          None\n",
+    ),
+    "rep-phi": (
+        ("rep", P2, "phi", "--cycle", "a,b", "--lambda-arg", "0.25"),
+        _rep_text("phi", 2, "(none)", "yes") + _REP_HINT,
+    ),
+    "rep-rho": (
+        ("rep", SCC, "rho", "--path", "a,e,c", "--lambda-arg", "0,0.25"),
+        _rep_text("rho", 2, "lower", "no") + _REP_HINT,
+    ),
+    "rep-psi": (
+        ("rep", P2, "psi", "--path", "b,b", "--lambda-arg", "0.1,0.2,0.3"),
+        _rep_text("psi", 3, "lower", "no") + _REP_HINT,
+    ),
+    "rep-fock": (("rep", P2, "fock"), _rep_text("fock", 7, "(none)", "yes") + _REP_HINT),
+    "rep-nnest": (("rep", P2, "nnest", "--seed", "7"), _rep_text("nnest", 5, "lower", "no") + _REP_HINT),
+    "separate-nest": (("separate", P2, ELEM, "--family", "nest"), _separate_text("nest", 1)),
+    "separate-irreducible": (
+        ("separate", P2, ELEM, "--family", "irreducible"),
+        _separate_text("irreducible", "(none)"),
+    ),
+    "recover": (("recover", P2, ELEM, "a,b", "--family", "upper"), "0.0 0.75\n"),
+    "radical": (("radical", SCC), "generators: e f h\n"),
+    "radical-element": (
+        ("radical", SCC, "--element", ELEM),
+        "generators: e f h\nelement in radical: no\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(TEXT_CASES))
+def test_text_output_is_pinned(case, capsys):
+    argv, expected = TEXT_CASES[case]
+    assert cli.main(list(argv)) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("case", ["rep-psi", "separate-nest"])
+def test_text_output_with_emit_is_pinned(tmp_path, capsys, case):
+    argv, expected = TEXT_CASES[case]
+    assert cli.main([*argv, "--emit", str(tmp_path / "out.json")]) == 0
+    assert capsys.readouterr().out == expected.replace(_REP_HINT, "")
+    assert (tmp_path / "out.json").read_text().count("\n") == 1

@@ -1,0 +1,95 @@
+"""Paths by length, checked against the enumerations they replace.
+
+The truncated Fock basis and the free words of the naturally ordered nest
+corner are both lists of paths ordered by length, then by edge declaration
+order.  ``exact_oracle`` builds them the older way, the Fock basis vertex by
+vertex with one final sort and the free words by a walk that sorts each
+length.  The package must build the same Fock bases at depths 0–3 and the
+same n-nest corners (``==`` on the representation) at every tested prefix
+length, on the corpus and on random graphs whose edges are declared in
+shuffled order, so that one-edge paths out of a later vertex can be declared
+first.
+"""
+
+import random
+
+import pytest
+
+import graphnest as gn
+from conftest import GRAPH_TEXTS, make_graph, random_graph
+from exact_oracle import fock_basis_per_vertex, n_nest_by_free_word_walk
+
+PREFIX_LENGTHS = (0, 1, 2, 5, 9, 14)
+
+
+def _case_one_graph(rng):
+    """A loop at every vertex, a Hamiltonian cycle and random extra edges,
+    declared in shuffled order: strongly transitive, so case One."""
+    n = rng.randint(1, 6)
+    edges = [(f"l{i}", i, i) for i in range(n)]
+    edges += [(f"h{i}", i, (i + 1) % n) for i in range(n)]
+    edges += [(f"x{j}", rng.randrange(n), rng.randrange(n)) for j in range(rng.randint(0, 6))]
+    rng.shuffle(edges)
+    lines = [f"vertex v{i}" for i in range(n)]
+    lines += [f"edge {name} v{s} v{t}" for name, s, t in edges]
+    return gn.parse_graph("\n".join(lines) + "\n")
+
+
+CASE_ONE_CORPUS = [
+    name for name in GRAPH_TEXTS if gn.check_n_nest_case(make_graph(name)).case == "One"
+]
+
+
+def _same_corners(g, seed):
+    for prefix_len in PREFIX_LENGTHS:
+        rep = gn.n_nest_truncation(g, prefix_len, seed)
+        assert rep == n_nest_by_free_word_walk(g, prefix_len, seed), (prefix_len, seed)
+        assert rep.dimension == prefix_len + 1
+
+
+@pytest.mark.parametrize("name", CASE_ONE_CORPUS)
+def test_n_nest_corner_matches_the_free_word_walk_on_corpus(name):
+    _same_corners(make_graph(name), seed=3)
+
+
+def test_n_nest_corner_matches_the_free_word_walk_on_random_case_one_graphs():
+    rng = random.Random(909)
+    for _ in range(300):
+        g = _case_one_graph(rng)
+        assert gn.check_n_nest_case(g).case == "One"
+        _same_corners(g, seed=rng.randrange(1000))
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_TEXTS))
+def test_fock_basis_matches_the_per_vertex_enumeration_on_corpus(name):
+    g = make_graph(name)
+    for depth in range(4):
+        assert gn.truncated_fock_basis(g, depth).paths == fock_basis_per_vertex(g, depth)
+
+
+def test_fock_basis_matches_the_per_vertex_enumeration_on_random_graphs():
+    rng = random.Random(808)
+    for _ in range(300):
+        g = random_graph(rng)
+        for depth in range(4):
+            assert gn.truncated_fock_basis(g, depth).paths == fock_basis_per_vertex(g, depth)
+
+
+def test_fock_basis_cap_counts_every_path(p2):
+    assert gn.truncated_fock_basis(p2, 2, max_basis=7).dimension == 7
+    with pytest.raises(gn.LimitError, match="cap of 6 paths"):
+        gn.truncated_fock_basis(p2, 2, max_basis=6)
+    three = gn.parse_graph("vertex x\nvertex y\nvertex z\n")
+    assert gn.truncated_fock_basis(three, 4, max_basis=3).dimension == 3
+    with pytest.raises(gn.LimitError, match="cap of 2 paths"):
+        gn.truncated_fock_basis(three, 0, max_basis=2)
+
+
+def test_free_word_cap_counts_the_words_of_every_length(p2, monkeypatch):
+    # without its designated loop a, p2 has one free word per length (b, bb,
+    # …), and the vertex: a walk of 5 edges reads v, b, bb and bbb
+    monkeypatch.setattr(gn.reps, "MAX_FREE_WORDS", 4)
+    assert gn.n_nest_truncation(p2, 5, 0).dimension == 6
+    monkeypatch.setattr(gn.reps, "MAX_FREE_WORDS", 3)
+    with pytest.raises(gn.LimitError, match="cap of 3 paths"):
+        gn.n_nest_truncation(p2, 5, 0)

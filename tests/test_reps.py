@@ -434,7 +434,7 @@ def test_purity_defect_zero_edges():
     assert gn.purity_defect(rep, 3) == 0.0
 
 
-def test_purity_defect_path_cap(p2):
+def test_purity_defect_path_cap(p2, monkeypatch):
     # both loops act by a nonzero scalar, so the surviving-path count doubles
     # with each level and must trip the cap
     rep = gn.FiniteRepresentation(
@@ -442,17 +442,20 @@ def test_purity_defect_path_cap(p2):
         {"v": np.array([[1.0 + 0j]])},
         {"a": np.array([[0.5 + 0j]]), "b": np.array([[0.5 + 0j]])},
     )
+    monkeypatch.setattr(gn.reps, "MAX_DEFECT_PATHS", 100)
     with pytest.raises(gn.LimitError):
-        gn.purity_defect(rep, 30, max_paths=100)
+        gn.purity_defect(rep, 30)
 
 
-def test_purity_walk_drops_vanishing_paths(p2):
+def test_purity_walk_drops_vanishing_paths(p2, monkeypatch):
     # in a cycle representation each basis vector survives along one path,
     # so the walk keeps 2 of the 2^d paths of length d
     rep = gn.phi_cycle(p2, p2.path_from_traversal(["a", "b"]), unit_lambda(1, 5))
-    assert gn.purity_defect(rep, 12, max_paths=2) == pytest.approx(4.0 ** -12, abs=1e-20)
+    monkeypatch.setattr(gn.reps, "MAX_DEFECT_PATHS", 2)
+    assert gn.purity_defect(rep, 12) == pytest.approx(4.0 ** -12, abs=1e-20)
+    monkeypatch.setattr(gn.reps, "MAX_DEFECT_PATHS", 1)
     with pytest.raises(gn.LimitError):
-        gn.purity_defect(rep, 12, max_paths=1)
+        gn.purity_defect(rep, 12)
 
 
 def test_is_coisometric(p2):
