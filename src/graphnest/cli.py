@@ -21,9 +21,11 @@ a kind that does not read it (``REP_FLAG_KINDS``) exits 2 with "--FLAG
 applies only to rep KINDS".  Relation verdicts use ``linalg.NORM_TOL``.
 
 Each command returns its JSON payload and a function rendering its text
-report; ``main`` writes one of the two to stdout.  ``--json`` and ``--emit
-FILE`` write compact JSON: one line, keys sorted, ending in a newline, with
-``schema_version`` 1.  Pipe it through ``python3 -m json.tool`` to read it.
+report; ``main`` writes one of the two to stdout.  ``rep`` builds its
+payload, every image a dense matrix, only for ``--json`` or ``--emit``.
+``--json`` and ``--emit FILE`` write compact JSON: one line, keys sorted,
+ending in a newline, with ``schema_version`` 1.  Pipe it through
+``python3 -m json.tool`` to read it.
 
 Unit-modulus parameters are written as fractions of a full turn:
 ``--lambda-arg 0.25`` means e^{2πi·0.25} = i.  Path arguments list edge names
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -305,13 +308,16 @@ def _cmd_rep(args: argparse.Namespace):
     g = _load_graph(args.graph)
     rep, nest_blocks = _build_rep(args, g)
     relations = check_relations(rep)
-    payload = {
-        "graph": graph_to_json(g),
-        "kind": args.kind,
-        "representation": rep_to_json(rep),
-        "nest_blocks": nest_blocks,
-        "relations": relations.to_json(),
-    }
+    payload = None
+    if args.json or args.emit:
+        # Every image goes out dense: the text report must not pay for that.
+        payload = {
+            "graph": graph_to_json(g),
+            "kind": args.kind,
+            "representation": rep_to_json(rep),
+            "nest_blocks": nest_blocks,
+            "relations": relations.to_json(),
+        }
     if args.emit:
         _write_emit(args.emit, payload)
 
@@ -372,7 +378,10 @@ def _cmd_radical(args: argparse.Namespace):
 # -- argument parsing ----------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` leaves it as it
+    was, so every call of ``main`` parses with the same parser."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
 

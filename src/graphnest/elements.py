@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import GraphParseError
+from .errors import GraphParseError, LimitError
 from .graphs import DirectedGraph, Path, compose, _levels
 from .reps import FiniteRepresentation
 
@@ -228,9 +228,30 @@ def truncated_fock_basis(
     g: DirectedGraph, depth: int, *, max_basis: int = DEFAULT_MAX_BASIS
 ) -> TruncatedFockBasis:
     """Enumerate all paths of length ≤ depth across the whole graph; raises
-    ``LimitError`` past ``max_basis`` paths."""
+    ``LimitError`` past ``max_basis`` paths, naming the count depth needs.
+
+    The count comes first, by the recurrence n_{l+1}(y) = Σ n_l(s(e)) over
+    the edges e into y.  It is exact unless it passes ``max_basis``² or
+    ``max_basis`` levels (each holding a path), where it stops and the error
+    states a lower bound."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    ends = [1] * len(g.vertices)
+    count, length = len(ends), 0
+    arrows = [(g.vertex_index(e.source), g.vertex_index(e.target)) for e in g.edges]
+    while length < min(depth, max_basis) and any(ends) and count <= max_basis**2:
+        grown = [0] * len(ends)
+        for s, t in arrows:
+            grown[t] += ends[s]
+        ends = grown
+        count += sum(ends)
+        length += 1
+    if count > max_basis:
+        bound = "more than " if length < depth and any(ends) else ""
+        raise LimitError(
+            f"the truncated Fock basis of depth {depth} has {bound}{count} paths, "
+            f"over the cap of {max_basis} paths set by max_basis (--max-basis)"
+        )
     levels = _levels(g, g.vertices, depth, max_basis)
     return TruncatedFockBasis(depth, tuple(p for level in levels for p in level))
 

@@ -5,8 +5,11 @@ go through direct SVDs.  Representations are stored as weighted partial
 maps (``reps``); these helpers serve the dense matrices read from them.
 
 ``span_closure_dim`` computes the linear dimension of the (non-unital)
-algebra generated by a finite set of k×k matrices — the workhorse behind the
-irreducibility and nest-density certificates.
+algebra generated by a finite set S of k×k matrices — the workhorse behind
+the irreducibility and nest-density certificates.  It closes span(S) under
+left multiplication by an orthonormal basis of span(S), which needs
+dim·|S| products rather than dim².  Generator sets whose singular values
+span more than 1/``RANK_TOL`` get tolerance-dependent ranks.
 
 The two tolerances are fixed.  The package's representations send each
 basis vector to ½ or 1 times another, so a relation residual is an exact
@@ -80,11 +83,16 @@ def span_closure_dim(gens, dim: int):
     matrices containing ``gens`` (the non-unital generated algebra), plus an
     orthonormal basis of it.
 
-    Semi-naive: each round multiplies only the basis directions that are
-    new since the last round by the whole basis, in both orders, and
-    re-ranks the vectorized matrices until the rank stabilizes; capped at
-    dimension k² and k²+1 rounds, both of which only the full matrix
-    algebra attains.
+    The generated algebra A of S satisfies A = span(S) + S·A, so it is the
+    smallest subspace containing span(S) and closed under left
+    multiplication by an orthonormal basis B₀ of span(S).  Each round
+    multiplies only the directions new since the last round by B₀, keeps
+    the residual directions off the basis with singular value above
+    ``RANK_TOL`` (B₀ and the basis are orthonormal, so the products are
+    scale-free), and re-orthonormalizes them: r·|B₀| products for a
+    dimension-r algebra, capped at k².  When the singular values of the
+    generators span more than 1/``RANK_TOL``, the rank decisions, and so the
+    dimension, depend on the tolerance.
     """
     k = int(dim)
     if k <= 0:
@@ -97,33 +105,21 @@ def span_closure_dim(gens, dim: int):
         mats.append(a)
     if not mats:
         return 0, []
-    basis_rows = _orthonormal_rows(np.array([m.reshape(-1) for m in mats]))
-    # basis_rows is the orthonormal basis so far; its last `fresh` rows are
-    # the directions added by the previous round.
-    r = fresh = basis_rows.shape[0]
+    basis = _orthonormal_rows(np.array([m.reshape(-1) for m in mats]))
     full = k * k
-    for _ in range(1 + full):
-        if r == 0 or r == full:
-            break
-        cube = basis_rows.reshape(r, k, k)
-        old, new = cube[: r - fresh], cube[r - fresh:]
-        stacked = np.vstack([
-            basis_rows,
-            (new[:, None] @ cube[None]).reshape(-1, full),
-            (old[:, None] @ new[None]).reshape(-1, full),
-        ])
-        grown = _orthonormal_rows(stacked)
-        fresh = grown.shape[0] - r
-        if fresh <= 0:
-            break
-        # The directions of the grown span outside the old one are the top
-        # right singular vectors of its residual against the old basis.
-        residual = grown - (grown @ basis_rows.conj().T) @ basis_rows
-        basis_rows = np.vstack(
-            [basis_rows, np.linalg.svd(residual, full_matrices=False)[2][:fresh]]
-        )
-        r = basis_rows.shape[0]
-    return r, [row.reshape(k, k) for row in basis_rows]
+    gens0 = new = basis.reshape(-1, k, k)
+    while 0 < basis.shape[0] < full and new.shape[0]:
+        prods = (gens0[:, None] @ new[None]).reshape(-1, full)
+        for _ in range(2):
+            prods = prods - (prods @ basis.conj().T) @ basis
+        _, s, vh = np.linalg.svd(prods, full_matrices=False)
+        fresh = vh[: np.count_nonzero(s > RANK_TOL)]
+        fresh = fresh - (fresh @ basis.conj().T) @ basis
+        # QR of the columns restores B Bᴴ = I after the last projection.
+        fresh = np.linalg.qr(fresh.T)[0].T
+        basis = np.vstack([basis, fresh])
+        new = fresh.reshape(-1, k, k)
+    return basis.shape[0], [row.reshape(k, k) for row in basis]
 
 
 def is_orthogonal_projection(m) -> bool:

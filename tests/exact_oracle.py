@@ -20,6 +20,10 @@ sized from the element's degree, read the pairing entry there, and take
 the discrete Fourier transform.  They check the package's recovery, which
 reads the same coefficient from a polynomial without sampling.
 
+``span_closure_dim_semi_naive`` is the generated-algebra loop that
+multiplied new directions by the whole basis in both orders; the package
+now multiplies them only by an orthonormal basis of the generators' span.
+
 ``matrix_to_json_by_entries`` is the per-entry matrix encoding that the
 package's one-call numpy encoding replaces.
 
@@ -38,6 +42,7 @@ import numpy as np
 
 import graphnest as gn
 from graphnest.graphs import _bfs_shortest_lex
+from graphnest.linalg import _orthonormal_rows
 
 ZERO = (Fraction(0), Fraction(0))
 ONE = (Fraction(1), Fraction(0))
@@ -150,6 +155,41 @@ def span_closure_dim_exact(gens):
         members.extend(fresh)
         frontier = fresh
     return len(echelon)
+
+
+def span_closure_dim_semi_naive(gens, dim):
+    """The generated algebra of complex k×k matrices the way the package
+    computed it before it multiplied only by the generators: each round
+    multiplies the basis directions new since the last round by the whole
+    basis, in both orders, and re-ranks the stack with one SVD.  Returns
+    ``(dimension, orthonormal basis)`` like ``span_closure_dim``."""
+    k = int(dim)
+    mats = [np.asarray(m, dtype=np.complex128) for m in gens]
+    if not mats:
+        return 0, []
+    basis_rows = _orthonormal_rows(np.array([m.reshape(-1) for m in mats]))
+    r = fresh = basis_rows.shape[0]
+    full = k * k
+    for _ in range(1 + full):
+        if r == 0 or r == full:
+            break
+        cube = basis_rows.reshape(r, k, k)
+        old, new = cube[: r - fresh], cube[r - fresh:]
+        stacked = np.vstack([
+            basis_rows,
+            (new[:, None] @ cube[None]).reshape(-1, full),
+            (old[:, None] @ new[None]).reshape(-1, full),
+        ])
+        grown = _orthonormal_rows(stacked)
+        fresh = grown.shape[0] - r
+        if fresh <= 0:
+            break
+        residual = grown - (grown @ basis_rows.conj().T) @ basis_rows
+        basis_rows = np.vstack(
+            [basis_rows, np.linalg.svd(residual, full_matrices=False)[2][:fresh]]
+        )
+        r = basis_rows.shape[0]
+    return r, [row.reshape(k, k) for row in basis_rows]
 
 
 # -- reachability ----------------------------------------------------------------

@@ -329,7 +329,10 @@ def test_rep_rejects_seed_and_max_basis_on_kinds_that_ignore_them(args, message)
 def test_fock_limit_error_states_the_max_basis(capsys):
     assert cli.main(["rep", P2, "fock", "--depth", "3", "--max-basis", "5"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: path enumeration exceeded the cap of 5 paths\n"
+    assert captured.err == (
+        "error: the truncated Fock basis of depth 3 has 15 paths, "
+        "over the cap of 5 paths set by max_basis (--max-basis)\n"
+    )
     assert captured.out == ""
 
 
@@ -592,3 +595,43 @@ def test_text_output_with_emit_is_pinned(tmp_path, capsys, case):
     assert cli.main([*argv, "--emit", str(tmp_path / "out.json")]) == 0
     assert capsys.readouterr().out == expected.replace(_REP_HINT, "")
     assert (tmp_path / "out.json").read_text().count("\n") == 1
+
+
+@pytest.mark.parametrize("case", [c for c in TEXT_CASES if c.startswith("rep-")])
+def test_rep_text_report_builds_no_json_payload(case, capsys, monkeypatch):
+    def refuse(rep):
+        raise AssertionError("the text report built the JSON payload")
+
+    monkeypatch.setattr(cli, "rep_to_json", refuse)
+    argv, expected = TEXT_CASES[case]
+    assert cli.main(list(argv)) == 0
+    assert capsys.readouterr().out == expected
+
+
+def _main_in_process(argv, capsys):
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_called_repeatedly_matches_fresh_processes(capsys, monkeypatch):
+    # argparse wraps its usage text to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    runs = [
+        ("classify", P2),
+        ("rep", P2, "fock", "--no-such-flag"),
+        ("rep", P2, "phi", "--cycle", "a,b", "--lambda-arg", "0.25"),
+        (),
+        ("recover", P2, ELEM, "a,b", "--family", "upper"),
+        ("rep", P2, "nnest", "--depth", "3"),
+        ("radical", SCC, "--json"),
+        ("separate", P2, ELEM, "--family", "sideways"),
+        ("classify", P2),
+    ]
+    for argv in runs:
+        fresh = run_cli(*argv)
+        assert _main_in_process(argv, capsys) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert cli._build_parser() is cli._build_parser()

@@ -85,6 +85,25 @@ def test_fock_basis_cap_counts_every_path(p2):
         gn.truncated_fock_basis(three, 0, max_basis=2)
 
 
+def test_fock_basis_limit_error_states_the_count_the_depth_needs(p2):
+    loop1 = gn.parse_graph("vertex v\nedge a v v\n")
+    chain = gn.parse_graph("vertex A\nvertex B\nedge t A B\n")
+    cases = [
+        (p2, 3, 5, "depth 3 has 15 paths, over the cap of 5 paths"),
+        (p2, 14, 20_000, "depth 14 has 32767 paths, over the cap of 20000 paths"),
+        # an acyclic graph runs out of paths whatever the depth
+        (chain, 10**9, 2, "depth 1000000000 has 3 paths, over the cap of 2 paths"),
+        (loop1, 20, 20, "depth 20 has 21 paths, over the cap of 20 paths"),
+        # past max_basis levels, or max_basis² paths, the count stops early
+        (loop1, 10**9, 20, "depth 1000000000 has more than 21 paths"),
+        (p2, 10**9, 20_000, "depth 1000000000 has more than 536870911 paths"),
+    ]
+    for g, depth, cap, message in cases:
+        with pytest.raises(gn.LimitError, match=message + ".*max_basis \\(--max-basis\\)"):
+            gn.truncated_fock_basis(g, depth, max_basis=cap)
+    assert gn.truncated_fock_basis(loop1, 19, max_basis=20).dimension == 20
+
+
 def test_free_word_cap_counts_the_words_of_every_length(p2, monkeypatch):
     # without its designated loop a, p2 has one free word per length (b, bb,
     # …), and the vertex: a walk of 5 edges reads v, b, bb and bbb
