@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import GraphParseError, LimitError
-from .graphs import DirectedGraph, Path, compose, _levels
+from .graphs import DirectedGraph, Path, compose, _levels, _path_count
 from .reps import FiniteRepresentation
 
 #: Default ceiling on the truncated Fock basis size.
@@ -31,7 +31,9 @@ class FormalElement:
     Zero coefficients are never stored (exact-zero pruning only; floating
     arithmetic on coefficients is otherwise untouched).  A NaN or infinite
     coefficient, given or summed, raises ``ValueError`` naming its path.
-    Instances are immutable; arithmetic returns new elements.
+    The terms are ordered by ``path_sort_key`` once, at construction, and
+    ``support`` and ``items`` read that order.  Instances are immutable;
+    arithmetic returns new elements.
     """
 
     __slots__ = ("graph", "_terms")
@@ -57,7 +59,8 @@ class FormalElement:
             if not cmath.isfinite(c):
                 label = f"vertex:{p.source}" if p.is_vertex else ",".join(p.traversal)
                 raise ValueError(f"path {label} has the non-finite coefficient {c!r}")
-        self._terms = {p: c for p, c in acc.items() if c != 0}
+        kept = sorted((p for p, c in acc.items() if c != 0), key=graph.path_sort_key)
+        self._terms = {p: acc[p] for p in kept}
 
     # -- constructors -------------------------------------------------------
 
@@ -87,11 +90,11 @@ class FormalElement:
     @property
     def support(self) -> tuple[Path, ...]:
         """Supported paths in deterministic (length, declaration) order."""
-        return tuple(sorted(self._terms, key=self.graph.path_sort_key))
+        return tuple(self._terms)
 
     def items(self) -> list[tuple[Path, complex]]:
         """Term list in deterministic (length, declaration) order."""
-        return [(p, self._terms[p]) for p in self.support]
+        return list(self._terms.items())
 
     def coefficient(self, p: Path) -> complex:
         return self._terms.get(p, 0j)
@@ -236,23 +239,14 @@ def truncated_fock_basis(
     states a lower bound."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    ends = [1] * len(g.vertices)
-    count, length = len(ends), 0
-    arrows = [(g.vertex_index(e.source), g.vertex_index(e.target)) for e in g.edges]
-    while length < min(depth, max_basis) and any(ends) and count <= max_basis**2:
-        grown = [0] * len(ends)
-        for s, t in arrows:
-            grown[t] += ends[s]
-        ends = grown
-        count += sum(ends)
-        length += 1
+    count, exact = _path_count(g, g.vertices, depth, max_basis)
     if count > max_basis:
-        bound = "more than " if length < depth and any(ends) else ""
+        bound = "" if exact else "more than "
         raise LimitError(
             f"the truncated Fock basis of depth {depth} has {bound}{count} paths, "
             f"over the cap of {max_basis} paths set by max_basis (--max-basis)"
         )
-    levels = _levels(g, g.vertices, depth, max_basis)
+    levels = _levels(g, g.vertices, depth)
     return TruncatedFockBasis(depth, tuple(p for level in levels for p in level))
 
 
@@ -329,4 +323,5 @@ def element_from_json(g: DirectedGraph, obj) -> FormalElement:
                 raise GraphParseError(f"element term {i} has a malformed path array")
             path = g.path_from_traversal([str(n) for n in names])
         pairs.append((path, coeff))
-    return FormalElement(g, pairs)
+    # vertex_path and path_from_traversal have checked every path.
+    return FormalElement(g, pairs, validate=False)

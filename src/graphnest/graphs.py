@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -638,15 +637,19 @@ def complete_to_cycle(g: DirectedGraph, w: Path) -> Path:
     that ``vw`` is a cycle; ties broken by edge declaration order.  Requires
     both endpoints in one strongly connected component."""
     g.validate_path(w)
+    return _completion(g, w)
+
+
+def _completion(g: DirectedGraph, w: Path) -> Path:
+    """``complete_to_cycle`` of a path already checked against ``g``."""
     names = _bfs_shortest_lex(g, w.target, w.source)
     if names is None:
         raise PreconditionError(
             f"no completion to a cycle: {w.target!r} cannot reach {w.source!r} "
             "(endpoints lie in distinct strongly connected components)"
         )
-    if not names:
-        return g.vertex_path(w.source)
-    return g.path_from_traversal(names)
+    # The search walks edges out of each vertex it reaches, so they compose.
+    return Path(w.target, w.source, tuple(reversed(names)))
 
 
 def decompose_path(g: DirectedGraph, w: Path) -> PathDecomposition:
@@ -654,59 +657,90 @@ def decompose_path(g: DirectedGraph, w: Path) -> PathDecomposition:
     component-crossing edges; segments in walking order, one more segment
     than crossing edge (vertex segments fill the gaps)."""
     g.validate_path(w)
-    cond = condensation(g)
-    comp = cond.vertex_component
+    comp = condensation(g).vertex_component
     segments: list[Path] = []
     crossing: list[str] = []
     current: list[str] = []     # traversal-order edge names of the open segment
-    seg_start = w.source
-    cursor = w.source
+    seg_start = cursor = w.source
+    # ``w`` has been checked, so its segments are paths of ``g`` as they stand.
     for name in w.traversal:
         e = g.edge(name)
         if comp[e.source] == comp[e.target]:
             current.append(name)
         else:
-            segments.append(
-                g.path_from_traversal(current) if current else g.vertex_path(seg_start)
-            )
+            segments.append(Path(seg_start, cursor, tuple(reversed(current))))
             crossing.append(name)
             current = []
             seg_start = e.target
         cursor = e.target
-    segments.append(g.path_from_traversal(current) if current else g.vertex_path(seg_start))
-    assert cursor == w.target or w.is_vertex
+    segments.append(Path(seg_start, cursor, tuple(reversed(current))))
     return PathDecomposition(tuple(segments), tuple(crossing))
 
 
 # -- enumeration -----------------------------------------------------------------
 
 
+def _path_count(
+    g: DirectedGraph, starts: Sequence[str], max_len: int, cap: int
+) -> tuple[int, bool]:
+    """The number of paths out of ``starts`` of length ≤ ``max_len``, and
+    whether it is exact, by the recurrence n_{l+1}(y) = Σ n_l(s(e)) over the
+    edges e into y, with n_0(y) the number of starts at y.  Past ``cap``²
+    paths or ``cap`` levels (each holding a path) the count stops, as a lower
+    bound that already passes ``cap``."""
+    ends = [0] * len(g.vertices)
+    for v in starts:
+        ends[g.vertex_index(v)] += 1
+    count, length = len(starts), 0
+    arrows = [(g._vertex_index[e.source], g._vertex_index[e.target]) for e in g.edges]
+    while length < min(max_len, cap) and any(ends) and count <= cap**2:
+        grown = [0] * len(ends)
+        for s, t in arrows:
+            grown[t] += ends[s]
+        ends = grown
+        count += sum(ends)
+        length += 1
+    return count, not (length < max_len and any(ends))
+
+
 def _levels(
-    g: DirectedGraph, starts: Sequence[str], max_len: int, max_paths: int
+    g: DirectedGraph,
+    starts: Sequence[str],
+    max_len: int,
+    max_paths: int | None = None,
+    setting: str = "",
 ) -> Iterator[list[Path]]:
     """Yield the paths out of ``starts`` (given in declaration order) grouped
     by length 0 … ``max_len``, each level in ``path_sort_key`` order, until a
-    level is empty.  Raises ``LimitError`` past ``max_paths`` paths."""
-    level = [g.vertex_path(v) for v in starts]
-    produced = len(level)
+    level is empty.  Each level is counted before it is built, and
+    ``LimitError`` is raised, naming the count and the ``setting`` that caps
+    it, before the paths so far would pass ``max_paths``."""
+    level: list[Path] = []
+    produced = 0
     for length in range(max_len + 1):
-        if produced > max_paths:
-            raise LimitError(f"path enumeration exceeded the cap of {max_paths} paths")
-        if not level:
+        # Every path of the last level extends by each edge out of its end.
+        size = sum(len(g._out[p.target]) for p in level) if length else len(starts)
+        produced += size
+        if max_paths is not None and produced > max_paths:
+            raise LimitError(
+                f"path enumeration to length {length} reaches {produced} paths, "
+                f"over the cap of {max_paths} paths set by {setting}"
+            )
+        if not size:
             return
-        yield level
-        if length < max_len:
-            grown = (
+        if length == 0:
+            level = [g.vertex_path(v) for v in starts]
+        else:
+            level = [
                 Path(p.source, e.target, (e.name,) + p.edges)
                 for p in level
-                for e in g.out_edges(p.target)
-            )
-            level = list(islice(grown, max_paths - produced + 1))
-            produced += len(level)
-            if length == 0:
+                for e in g._out[p.target]
+            ]
+            if length == 1:
                 # One-edge paths sort by edge index, whatever their start;
                 # extending a sorted level edge by edge keeps it sorted.
                 level.sort(key=g.path_sort_key)
+        yield level
 
 
 def enumerate_paths(
@@ -718,15 +752,24 @@ def enumerate_paths(
     """All paths ``source → target`` of length ≤ ``max_len``, ordered by
     length then lexicographically by edge declaration order.  The length-0
     vertex path is included when source == target.  Raises ``LimitError``
-    past ``MAX_ENUM_LENGTH`` edges or ``MAX_ENUM_PATHS`` paths."""
+    past ``MAX_ENUM_LENGTH`` edges, or before enumerating when the paths out
+    of ``source`` up to ``max_len`` number more than ``MAX_ENUM_PATHS``."""
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     if max_len > MAX_ENUM_LENGTH:
         raise LimitError(f"max_len {max_len} exceeds the cap {MAX_ENUM_LENGTH}")
     g.vertex_index(source)
     g.vertex_index(target)
+    count, exact = _path_count(g, [source], max_len, MAX_ENUM_PATHS)
+    if count > MAX_ENUM_PATHS:
+        bound = "" if exact else "more than "
+        raise LimitError(
+            f"path enumeration from {source!r} to length {max_len} reaches {bound}"
+            f"{count} paths, over the cap of {MAX_ENUM_PATHS} paths set by "
+            "graphs.MAX_ENUM_PATHS"
+        )
     out: list[Path] = []
-    for level in _levels(g, [source], max_len, MAX_ENUM_PATHS):
+    for level in _levels(g, [source], max_len):
         out.extend(p for p in level if p.target == target)
     return out
 

@@ -39,11 +39,12 @@ def as_matrix(m) -> np.ndarray:
 
 
 def operator_norm(m) -> float:
-    """Largest singular value."""
+    """Largest singular value: the value ``np.linalg.norm(a, 2)`` takes
+    from the same SVD, without its axis bookkeeping."""
     a = as_matrix(m)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def row_operator_norm(ms) -> float:

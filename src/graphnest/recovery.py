@@ -115,8 +115,8 @@ def _strip_designated(
         else:
             kept.append(name)
         current = e.target
-    skeleton = g.path_from_traversal(kept) if kept else g.vertex_path(v.source)
-    return skeleton, dwell
+    # Dropping loops keeps the walk connected and its ends where they were.
+    return Path(v.source, v.target, tuple(reversed(kept))), dwell
 
 
 def _upper_target(

@@ -38,8 +38,8 @@ from .graphs import (
     DirectedGraph,
     Path,
     _bfs_shortest_lex,
+    _completion,
     _levels,
-    complete_to_cycle,
     compose,
     decompose_path,
     primitive_root,
@@ -373,9 +373,10 @@ def _cycle_layout(g: DirectedGraph, u: Path) -> _Layout:
 
 
 def _carrier(g: DirectedGraph, seg: Path) -> tuple[Path, int, int]:
-    """Primitive cycle completing a component-internal path, the steps the
-    path ends past whole turns of it, and its number of whole turns."""
-    root, _ = primitive_root(compose(complete_to_cycle(g, seg), seg))
+    """Primitive cycle completing a component-internal path (already
+    checked against ``g``), the steps the path ends past whole turns of it,
+    and its number of whole turns."""
+    root, _ = primitive_root(compose(_completion(g, seg), seg))
     k = root.length
     return root, seg.length % k, seg.length // k
 
@@ -640,8 +641,9 @@ def n_nest_truncation(g: DirectedGraph, prefix_len: int, seed: int) -> FiniteRep
     vertex (``designated_loops``); the remaining ("free") words, read from
     the graph without them by length then declaration order, are
     concatenated — joined by shortest connecting paths — into one long walk,
-    truncated to ``prefix_len`` edges.  Raises ``LimitError`` once more than
-    ``MAX_FREE_WORDS`` free words, of all lengths so far, are enumerated.
+    truncated to ``prefix_len`` edges.  Raises ``LimitError`` before the
+    free words of all lengths so far would number more than
+    ``MAX_FREE_WORDS``; each length is counted before its words are built.
     Diagonal parameters are roots of unity of a prime order ≥ 101, rotated
     by ``seed``, so they are automatically distinct.  Returns ``psi_upper``
     of the walk.
@@ -658,7 +660,10 @@ def n_nest_truncation(g: DirectedGraph, prefix_len: int, seed: int) -> FiniteRep
     kept = [(e.name, e.source, e.target) for e in g.edges if e.name not in reserved]
     # A strongly transitive graph keeps a cycle without its designated
     # loops, so there are free words of every length.
-    free = _levels(DirectedGraph(g.vertices, kept), g.vertices, max(prefix_len, 1), MAX_FREE_WORDS)
+    free = _levels(
+        DirectedGraph(g.vertices, kept), g.vertices, max(prefix_len, 1),
+        MAX_FREE_WORDS, "reps.MAX_FREE_WORDS",
+    )
     edges: list[str] = []
     end = None  # where the walk stands
     for word in (w for level in free for w in level if w.edges):

@@ -4,10 +4,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import graphnest as gn
-from conftest import make_graph, random_nonzero_element
+from conftest import GRAPH_TEXTS, make_graph, random_nonzero_element
 
 
 def elem(g, *items):
@@ -272,3 +272,85 @@ def test_non_finite_coefficients_are_rejected(p2):
         big * 10.0
     with pytest.raises(ValueError, match="path vertex:v"):
         gn.FormalElement(p2, [(v, 1e308), (v, 1e308)])
+
+
+# -- order and checks at construction --------------------------------------------
+
+
+@st.composite
+def walks(draw, g, max_len=5):
+    """A walk of ``g`` with up to ``max_len`` edges (a vertex at dead ends)."""
+    start = current = draw(st.sampled_from(g.vertices))
+    names = []
+    for _ in range(draw(st.integers(0, max_len))):
+        outs = g.out_edges(current)
+        if not outs:
+            break
+        e = draw(st.sampled_from(outs))
+        names.append(e.name)
+        current = e.target
+    return g.path_from_traversal(names) if names else g.vertex_path(start)
+
+
+def term_json(w, coeff):
+    if w.is_vertex:
+        return {"coeff": coeff, "vertex": w.source}
+    return {"coeff": coeff, "path": list(w.traversal)}
+
+
+@st.composite
+def element_json(draw, g):
+    """Element JSON over ``g``; small integer coefficients, so that terms
+    cancel and repeat."""
+    coeffs = st.lists(st.integers(-2, 2).map(float), min_size=2, max_size=2)
+    return {"terms": [term_json(w, draw(coeffs)) for w in draw(st.lists(walks(g), max_size=8))]}
+
+
+def _ordered(x):
+    g = x.graph
+    return (
+        x.support == tuple(sorted(x.support, key=g.path_sort_key))
+        and tuple(p for p, _ in x.items()) == x.support
+    )
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_support_is_in_path_order_after_every_operation(data):
+    g = make_graph(data.draw(st.sampled_from(sorted(GRAPH_TEXTS))))
+    a = gn.element_from_json(g, data.draw(element_json(g)))
+    b = gn.element_from_json(g, data.draw(element_json(g)))
+    z = complex(data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3)))
+    k = data.draw(st.integers(1, 6))
+    for x in (a, b, a + b, a - b, -a, a * b, b * a, z * a, a * z, gn.cesaro_mean(a, k)):
+        assert _ordered(x), x
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_malformed_element_json_raises_a_typed_error(data):
+    names = sorted(GRAPH_TEXTS)
+    g = make_graph(data.draw(st.sampled_from(names)))
+    terms = data.draw(element_json(g))["terms"]
+    kind = data.draw(st.sampled_from(["gap", "unknown edge", "foreign vertex", "foreign edge"]))
+    other = make_graph(data.draw(st.sampled_from(names)))
+    if kind == "gap":
+        gaps = [[e.name, f.name] for e in g.edges for f in g.edges if e.target != f.source]
+        assume(gaps)
+        bad = {"coeff": [1.0, 0.0], "path": data.draw(st.sampled_from(gaps))}
+    elif kind == "unknown edge":
+        w = data.draw(walks(g))
+        path = list(w.traversal)
+        path.insert(data.draw(st.integers(0, len(path))), "no_such_edge")
+        bad = {"coeff": [1.0, 0.0], "path": path}
+    elif kind == "foreign vertex":
+        foreign = [x for x in other.vertices if x not in g.vertices]
+        assume(foreign)
+        bad = {"coeff": [1.0, 0.0], "vertex": data.draw(st.sampled_from(foreign))}
+    else:
+        w = data.draw(walks(other))
+        assume(w.length and any(n not in g._edge_index for n in w.traversal))
+        bad = term_json(w, [1.0, 0.0])
+    terms.insert(data.draw(st.integers(0, len(terms))), bad)
+    with pytest.raises((gn.GraphParseError, gn.PathError)):
+        gn.element_from_json(g, {"terms": terms})

@@ -110,5 +110,29 @@ def test_free_word_cap_counts_the_words_of_every_length(p2, monkeypatch):
     monkeypatch.setattr(gn.reps, "MAX_FREE_WORDS", 4)
     assert gn.n_nest_truncation(p2, 5, 0).dimension == 6
     monkeypatch.setattr(gn.reps, "MAX_FREE_WORDS", 3)
-    with pytest.raises(gn.LimitError, match="cap of 3 paths"):
+    # bbb is needed, and the count of length 3 comes before its words
+    message = "to length 3 reaches 4 paths, over the cap of 3 paths set by reps.MAX_FREE_WORDS"
+    with pytest.raises(gn.LimitError, match=message):
         gn.n_nest_truncation(p2, 5, 0)
+
+
+def test_enumerate_paths_counts_before_it_enumerates(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated past the cap")
+
+    three = gn.parse_graph("vertex v\nedge a v v\nedge b v v\nedge c v v\n")
+    wide = gn.parse_graph("vertex v\n" + "".join(f"edge l{i} v v\n" for i in range(1000)))
+    monkeypatch.setattr(gn.graphs, "_levels", no_enumeration)
+    cases = [
+        # 1 + 3 + … + 3^12 paths out of v
+        (three, 12, "reaches 797161 paths"),
+        # past MAX_ENUM_PATHS² paths the count stops
+        (wide, 12, "reaches more than 1001001001001 paths"),
+    ]
+    for g, max_len, size in cases:
+        message = f"from 'v' to length {max_len} {size}, over the cap of 200000 paths set by graphs.MAX_ENUM_PATHS"
+        with pytest.raises(gn.LimitError, match=message):
+            gn.enumerate_paths(g, "v", "v", max_len)
+    monkeypatch.undo()
+    # to length 10 the 88573 paths fit under the cap
+    assert len(gn.enumerate_paths(three, "v", "v", 10)) == (3**11 - 1) // 2
