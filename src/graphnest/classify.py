@@ -35,8 +35,6 @@ def is_strongly_transitive(g: DirectedGraph) -> bool:
     One vertex with one loop is a cycle graph (not strongly transitive);
     one vertex with two loops is strongly transitive.
     """
-    if not g.vertices:
-        return False
     cond = condensation(g)
     return (
         len(cond.components) == 1
@@ -50,14 +48,8 @@ def ut_separating_condition(g: DirectedGraph) -> bool:
     This is the graph condition under which triangular representations
     separate the path algebra; it holds vacuously for acyclic graphs.
     """
-    cond = condensation(g)
-    for comp in cond.components:
-        if comp.component_class is ComponentClass.TRIVIAL:
-            continue
-        for v in comp.vertices:
-            if not g.loops_at(v):
-                return False
-    return True
+    comps = condensation(g).components
+    return all(g.loops_at(v) for c in comps if not c.is_trivial for v in c.vertices)
 
 
 @dataclass(frozen=True)
@@ -99,12 +91,12 @@ class FaithfulNestConditions:
 
 def check_faithful_nest_conditions(g: DirectedGraph) -> FaithfulNestConditions:
     cond = condensation(g)
-    reach = cond.reach
+    succ = cond.successors
     topo = cond.topological_order
 
     # Reachability is transitive and respects the topological order, so it
-    # is total exactly when each component reaches the next one in that order.
-    c1 = all(reach[a] >> b & 1 for a, b in zip(topo, topo[1:]))
+    # is total exactly when a quotient edge joins each component to the next.
+    c1 = all(b in succ[a] for a, b in zip(topo, topo[1:]))
     c2 = all(
         comp.component_class is not ComponentClass.CYCLE for comp in cond.components
     )
@@ -116,13 +108,17 @@ def check_faithful_nest_conditions(g: DirectedGraph) -> FaithfulNestConditions:
     ok = chain is not None
     if ok:
         # Along the chain, some trivial component reaches c iff the head
-        # does, and c reaches some trivial component iff it reaches the tail.
-        head, tail = cond.vertex_component[chain[0]], cond.vertex_component[chain[-1]]
-        ok = not any(
-            reach[head] >> comp.index & 1 and reach[comp.index] >> tail & 1
-            for comp in cond.components
-            if not comp.is_trivial
-        )
+        # does, and c reaches some trivial component iff it reaches the tail:
+        # one pass forward from the head, and one backward into the tail.
+        after = {cond.vertex_component[chain[0]]}
+        before = {cond.vertex_component[chain[-1]]}
+        for a in topo:
+            if a in after:
+                after.update(succ[a])
+        for a in reversed(topo):
+            if not before.isdisjoint(succ[a]):
+                before.add(a)
+        ok = all(cond.components[c].is_trivial for c in after & before)
 
     return FaithfulNestConditions(c1, c2, ok, c3_vacuous=False)
 

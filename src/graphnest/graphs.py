@@ -126,16 +126,16 @@ class Condensation:
     ``components`` are ordered by first-declared member vertex.
     ``quotient_edges`` are the original edges whose endpoints lie in distinct
     components, in declaration order.  ``topological_order`` lists component
-    indices so that every quotient edge points forward.  ``reach[i]`` is a
-    bitmask whose bit ``j`` is set when component ``i`` reaches component
-    ``j`` along a nonempty quotient path.
+    indices so that every quotient edge points forward.  ``successors[i]``
+    is the sorted tuple of components that one quotient edge leads to from
+    component ``i``; reachability is a search over it.
     """
 
     components: tuple[Component, ...]
     vertex_component: Mapping[str, int] = field(compare=False)
     quotient_edges: tuple[Edge, ...] = ()
     topological_order: tuple[int, ...] = field(default=(), repr=False, compare=False)
-    reach: tuple[int, ...] = field(default=(), repr=False, compare=False)
+    successors: tuple[tuple[int, ...], ...] = field(default=(), repr=False, compare=False)
 
     def component_of(self, vertex: str) -> Component:
         return self.components[self.vertex_component[vertex]]
@@ -143,8 +143,13 @@ class Condensation:
     def component_reaches(self, i: int, j: int) -> bool:
         """Reflexive reachability between component indices in the quotient;
         no component reaches an index outside ``range(len(components))``."""
-        inside = 0 <= i < len(self.reach) and j >= 0
-        return i == j or (inside and bool(self.reach[i] >> j & 1))
+        seen, todo = {i}, [i] if 0 <= i < len(self.successors) else []
+        while todo and j not in seen:
+            for s in self.successors[todo.pop()]:
+                if s not in seen:
+                    seen.add(s)
+                    todo.append(s)
+        return j in seen
 
     @property
     def crossing_edge_names(self) -> tuple[str, ...]:
@@ -457,7 +462,7 @@ def condensation(g: DirectedGraph) -> Condensation:
     Components are ordered by their first-declared vertex; the classification
     per component is Trivial (one vertex, no loop), Cycle (a single directed
     cycle), or StronglyTransitive (everything else).  Computed once per
-    graph, in time linear in its size plus one bitmask OR per quotient edge.
+    graph, in time linear in its size.
     """
     if g._condensation is not None:
         return g._condensation
@@ -547,21 +552,12 @@ def condensation(g: DirectedGraph) -> Condensation:
             cls = ComponentClass.STRONGLY_TRANSITIVE
         components.append(Component(ci, verts, internal_edges, cls))
 
-    # Transitive closure of the quotient DAG, one bitmask per component.  In
-    # emission order every successor's mask is final before it is read.
-    reach = [0] * len(components)
-    for ci in comp_of_emitted:
-        mask = 0
-        for s in succ[ci]:
-            mask |= (1 << s) | reach[s]
-        reach[ci] = mask
-
     g._condensation = Condensation(
         components=tuple(components),
         vertex_component=MappingProxyType(vertex_component),
         quotient_edges=tuple(crossing),
         topological_order=tuple(reversed(comp_of_emitted)),
-        reach=tuple(reach),
+        successors=tuple(tuple(sorted(s)) for s in succ),
     )
     return g._condensation
 
@@ -757,7 +753,9 @@ def enumerate_paths(
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     if max_len > MAX_ENUM_LENGTH:
-        raise LimitError(f"max_len {max_len} exceeds the cap {MAX_ENUM_LENGTH}")
+        raise LimitError(
+            f"max_len {max_len} exceeds the cap {MAX_ENUM_LENGTH} set by graphs.MAX_ENUM_LENGTH"
+        )
     g.vertex_index(source)
     g.vertex_index(target)
     count, exact = _path_count(g, [source], max_len, MAX_ENUM_PATHS)

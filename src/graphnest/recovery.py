@@ -64,8 +64,9 @@ def _check_same_graph(g: DirectedGraph, a: FormalElement) -> None:
 def _check_length(w: Path) -> None:
     if w.length > MAX_PATH_LENGTH:
         raise LimitError(
-            f"path length {w.length} exceeds the cap {MAX_PATH_LENGTH}: the "
-            f"pairing scale 2^-{w.length} is below the normal double range"
+            f"path length {w.length} exceeds the cap {MAX_PATH_LENGTH} set by "
+            f"recovery.MAX_PATH_LENGTH: the pairing scale 2^-{w.length} is below "
+            "the normal double range"
         )
 
 
@@ -246,7 +247,8 @@ def _peak(poly: dict[tuple[int, ...], tuple[int, complex]], axes: int) -> tuple[
     size = math.prod(shape)
     if size > MAX_GRID_POINTS:
         raise LimitError(
-            f"separation grid of {size} points exceeds the cap {MAX_GRID_POINTS}"
+            f"separation grid of {size} points exceeds the cap {MAX_GRID_POINTS} "
+            "set by recovery.MAX_GRID_POINTS"
         )
     coefficients = np.zeros(shape, dtype=np.complex128)
     shortest = min([length for length, _ in poly.values()], default=0)

@@ -828,7 +828,7 @@ def purity_defect(rep: FiniteRepresentation, d: int) -> float:
     target_of = np.array([g.vertex_index(e.target) for e in ends], dtype=np.intp)
     # The frontier: each surviving path's partial map and its end vertex.
     rows, weights, at = rows_of, weights_of, target_of
-    for _ in range(d - 1):
+    for depth in range(2, d + 1):
         pairs = [(p, i) for p, v in enumerate(at.tolist()) for i in out_of[v]]
         path, edge = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
         # S_e·ρ(p): column j goes where ρ(p) sends it, then where e sends that.
@@ -837,8 +837,12 @@ def purity_defect(rep: FiniteRepresentation, d: int) -> float:
         weights = np.take_along_axis(weights_of[edge], via, axis=1) * weights[path]
         live = (rows >= 0) & (weights != 0)
         survive = live.any(axis=1)
-        if np.count_nonzero(survive) > MAX_DEFECT_PATHS:
-            raise LimitError(f"purity walk exceeded {MAX_DEFECT_PATHS} surviving paths")
+        count = np.count_nonzero(survive)
+        if count > MAX_DEFECT_PATHS:
+            raise LimitError(
+                f"purity walk at depth {depth} keeps {count} surviving paths, over "
+                f"the cap of {MAX_DEFECT_PATHS} paths set by reps.MAX_DEFECT_PATHS"
+            )
         rows, weights = np.where(live, rows, -1)[survive], weights[survive]
         at = target_of[edge[survive]]
     acc = np.zeros(rep.dimension + 1)

@@ -1,12 +1,15 @@
 """Command-line interface: subcommands, exit codes, and output formats."""
 
 import cmath
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import graphnest as gn
 from graphnest import cli
@@ -190,7 +193,7 @@ def test_path_past_the_length_cap_exits_2(tmp_path):
     elem.write_text(json.dumps({"terms": [{"coeff": [1.0, 0.0], "path": ["a"] * 1024}]}))
     proc = run_cli("recover", P2, str(elem), ",".join(["a"] * 1024), "--family", "nest")
     assert proc.returncode == 2
-    assert "exceeds the cap 1022" in proc.stderr
+    assert "exceeds the cap 1022 set by recovery.MAX_PATH_LENGTH" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -202,7 +205,7 @@ def test_separation_grid_past_the_cap_exits_2(tmp_path):
     elem.write_text(json.dumps({"terms": [{"coeff": [1.0, 0.0], "path": loop_walk(21)}]}))
     proc = run_cli("separate", str(graph), str(elem), "--family", "nest")
     assert proc.returncode == 2
-    assert "2097152 points exceeds the cap 1048576" in proc.stderr
+    assert "2097152 points exceeds the cap 1048576 set by recovery.MAX_GRID_POINTS" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -635,3 +638,117 @@ def test_main_called_repeatedly_matches_fresh_processes(capsys, monkeypatch):
         fresh = run_cli(*argv)
         assert _main_in_process(argv, capsys) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
     assert cli._build_parser() is cli._build_parser()
+
+
+# -- exit codes on random input ------------------------------------------------------
+
+_vertex = st.sampled_from(["v", "w"])
+_edge = st.sampled_from(["a", "b", "c"])
+
+
+@st.composite
+def graph_texts(draw):
+    """Well-formed graphs on up to two vertices and three edges, or lines
+    drawn at random, malformed ones among them."""
+    if draw(st.booleans()):
+        vertices = draw(st.lists(_vertex, min_size=1, unique=True))
+        ends = st.sampled_from(vertices)
+        edges = draw(st.lists(st.tuples(_edge, ends, ends), max_size=3, unique_by=lambda e: e[0]))
+        lines = [f"vertex {v}" for v in vertices] + [f"edge {n} {s} {t}" for n, s, t in edges]
+    else:
+        lines = draw(st.lists(st.one_of(
+            st.builds("vertex {}".format, _vertex),
+            st.builds("edge {} {} {}".format, _edge, _vertex, _vertex),
+            st.sampled_from(["", "# comment", "edge a v", "vertex", "vertex v w", "node v"]),
+        ), max_size=6))
+    return "\n".join(lines) + "\n"
+
+
+_coeff = st.one_of(
+    st.tuples(st.sampled_from([1.0, -2.5, 0.0]), st.sampled_from([0.0, 0.5])).map(list),
+    st.sampled_from([[1e-300, 0.0], [float("nan"), 0.0], [float("inf"), 1.0], [1.0], 1.0, "x", None]),
+)
+_term = st.one_of(
+    st.fixed_dictionaries({"coeff": _coeff, "path": st.lists(_edge, min_size=1, max_size=4)}),
+    st.fixed_dictionaries({"coeff": _coeff, "vertex": _vertex}),
+    st.sampled_from([{}, {"coeff": [1.0, 0.0]}, {"coeff": [1.0, 0.0], "path": []}, [], "a"]),
+)
+_element_text = st.one_of(
+    st.builds(lambda terms: json.dumps({"terms": terms}), st.lists(_term, max_size=3)),
+    st.sampled_from(["", "{", "[]", "null", '{"terms": 3}', '{"terms": [null]}']),
+)
+_spec = st.one_of(
+    st.lists(_edge, min_size=1, max_size=4).map(",".join),
+    st.builds("vertex:{}".format, _vertex),
+    st.builds("{}={}".format, _vertex, _edge),
+    st.sampled_from(["", ",", "vertex:", "v=", "0.25", "0,0.5", "nan", "x"]),
+)
+_small_int = st.integers(-2, 4).map(str)
+
+
+@st.composite
+def cli_argv(draw):
+    """A command line that argparse accepts, over random graph and element
+    files and random values for the flags each subcommand reads."""
+    command = draw(st.sampled_from(["classify", "separate", "rep", "recover", "radical"]))
+    argv = [command, "MISSING" if draw(st.integers(0, 9)) == 9 else "GRAPH"]
+    if command in ("separate", "recover"):
+        argv.append("ELEMENT")
+    if command == "recover":
+        argv.append(draw(_spec))
+    if command in ("separate", "recover"):
+        argv += ["--family", draw(st.sampled_from(["irreducible", "nest", "upper"]))]
+        if draw(st.booleans()):
+            argv += ["--loop-choice", draw(_spec)]
+    if command == "radical" and draw(st.booleans()):
+        argv += ["--element", "ELEMENT"]
+    if command == "rep":
+        kind = draw(st.sampled_from(["phi", "rho", "psi", "fock", "nnest"]))
+        argv.append(kind)
+        flags = {
+            "phi": ["--cycle", "--lambda-arg"],
+            "rho": ["--path", "--lambda-arg"],
+            "psi": ["--path", "--lambda-arg", "--loop-choice"],
+            "fock": ["--depth", "--max-basis"],
+            "nnest": ["--prefix-len", "--seed"],
+        }[kind]
+        values = _small_int if kind in ("fock", "nnest") else _spec
+        for flag in draw(st.lists(st.sampled_from(flags), unique=True)):
+            argv += [flag, draw(values)]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+def _expected_exit_code(argv):
+    """Run the command's own function outside ``main`` and map the error it
+    raises, if any, through ``EXIT_CODES``."""
+    args = cli._build_parser().parse_args(argv)
+    try:
+        payload, text = args.func(args)
+        cli._dump_json(payload) if args.json else text()
+    except Exception as exc:
+        return next(code for cls, code in cli.EXIT_CODES if isinstance(exc, cls))
+    return cli.EXIT_OK
+
+
+@pytest.fixture(scope="module")
+def input_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("random_cli")
+
+
+@settings(deadline=None, max_examples=150)
+@given(graph_text=graph_texts(), element=_element_text, argv=cli_argv())
+def test_random_input_exits_with_the_mapped_code(input_dir, graph_text, element, argv):
+    graph, elem = input_dir / "g.graph", input_dir / "e.json"
+    graph.write_text(graph_text)
+    elem.write_text(element)
+    files = {"GRAPH": graph, "ELEMENT": elem, "MISSING": input_dir / "missing.graph"}
+    argv = [str(files.get(arg, arg)) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code == _expected_exit_code(argv), (argv, err.getvalue())
+    if code != cli.EXIT_OK:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")

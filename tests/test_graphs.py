@@ -296,7 +296,9 @@ def test_enumerate_paths_disconnected_is_empty():
 
 def test_enumerate_respects_length_limit():
     p2 = make_graph("p2")
-    with pytest.raises(gn.LimitError):
+    with pytest.raises(
+        gn.LimitError, match="max_len 13 exceeds the cap 12 set by graphs.MAX_ENUM_LENGTH"
+    ):
         gn.enumerate_paths(p2, "v", "v", 13)
     with pytest.raises(gn.LimitError):
         gn.all_cycles(p2, 13)

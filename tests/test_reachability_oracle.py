@@ -2,13 +2,13 @@
 conditions, checked against plain breadth-first search, and the n-nest case
 analysis, checked against a chain found by walking it.
 
-The large graphs have more than 64 strongly connected components, so the
-per-component reachability masks span several machine words, and their
+The large graphs have more than 64 strongly connected components, and their
 vertices are declared in shuffled order, so component indices (ordered by
 first-declared vertex) disagree with the topological order.
 """
 
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -230,3 +230,35 @@ def test_condensation_is_computed_once_and_read_only():
     # an equal graph built separately gets an equal condensation of its own
     twin = gn.DirectedGraph(g.vertices, [(e.name, e.source, e.target) for e in g.edges])
     assert gn.condensation(twin) == cond
+    # the quotient is kept as its edges, one sorted tuple of successors each
+    assert type(cond.successors) is tuple
+    assert all(type(s) is tuple and list(s) == sorted(set(s)) for s in cond.successors)
+    comp = cond.vertex_component
+    pairs = {(comp[e.source], comp[e.target]) for e in cond.quotient_edges}
+    assert {(i, j) for i, s in enumerate(cond.successors) for j in s} == pairs
+
+
+def _one_loop_chain(n):
+    """n vertices, each with a loop and an edge to the next: n components."""
+    return gn.DirectedGraph(
+        [f"x{i}" for i in range(n)],
+        [(f"l{i}", f"x{i}", f"x{i}") for i in range(n)]
+        + [(f"e{i}", f"x{i}", f"x{i + 1}") for i in range(n - 1)],
+    )
+
+
+def _condensation_peak_bytes(g):
+    tracemalloc.start()
+    try:
+        gn.condensation(g)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_condensation_memory_grows_linearly():
+    small, large = (_condensation_peak_bytes(_one_loop_chain(n)) for n in (10_000, 20_000))
+    # about 1 kB a vertex; a transitive closure of the quotient, one bit per
+    # pair of components, took 23 MB at 10^4 and grew 3.1x to 2*10^4
+    assert small < 15e6
+    assert large < 2.1 * small

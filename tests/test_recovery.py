@@ -168,7 +168,10 @@ def test_separation_grid_past_the_cap_raises_limit_error():
     w = g.path_from_traversal(loop_walk(21))
     a = gn.FormalElement.single(g, w)
     for family in ("nest", "upper"):
-        with pytest.raises(gn.LimitError, match="2097152 points exceeds the cap 1048576"):
+        with pytest.raises(
+            gn.LimitError,
+            match="2097152 points exceeds the cap 1048576 set by recovery.MAX_GRID_POINTS",
+        ):
             gn.separate(g, a, family)
     # recovery reads one coefficient and samples no grid
     assert gn.recover_nest(g, a, w) == 1.0

@@ -443,7 +443,11 @@ def test_purity_defect_path_cap(p2, monkeypatch):
         {"a": np.array([[0.5 + 0j]]), "b": np.array([[0.5 + 0j]])},
     )
     monkeypatch.setattr(gn.reps, "MAX_DEFECT_PATHS", 100)
-    with pytest.raises(gn.LimitError):
+    message = (
+        "purity walk at depth 7 keeps 128 surviving paths, "
+        "over the cap of 100 paths set by reps.MAX_DEFECT_PATHS"
+    )
+    with pytest.raises(gn.LimitError, match=message):
         gn.purity_defect(rep, 30)
 
 
