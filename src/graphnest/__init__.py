@@ -5,7 +5,14 @@ paths, and loop-avoiding walks of a finite directed multigraph, decides the
 structural graph conditions under which each family exists or separates, and
 recovers the path coefficients of finitely supported elements exactly from
 the pairing polynomial each family's basis layout gives.
+
+``import graphnest`` loads the graph layer (``errors``, ``graphs``, ``classify``,
+``elements``) and not numpy, which the structural verdicts do not need.  The names
+of ``linalg``, ``reps`` and ``recovery``, those submodules and ``cli`` are looked
+up when read (PEP 562); the first such read imports numpy.
 """
+
+import importlib
 
 from .classify import (
     ClassificationReport,
@@ -60,45 +67,6 @@ from .graphs import (
     power,
     primitive_root,
     reaches,
-)
-from .linalg import (
-    NORM_TOL,
-    RANK_TOL,
-    is_orthogonal_projection,
-    matrices_equal,
-    matrix_from_json,
-    matrix_to_json,
-    operator_norm,
-    row_operator_norm,
-    span_closure_dim,
-)
-from .recovery import (
-    SeparationWitness,
-    is_in_radical,
-    radical_edge_generators,
-    recover_irreducible,
-    recover_nest,
-    recover_upper,
-    separate,
-)
-from .reps import (
-    FiniteRepresentation,
-    NestStructure,
-    RelationReport,
-    check_relations,
-    designated_loops,
-    evaluate,
-    is_coisometric,
-    n_nest_truncation,
-    nest_plan,
-    phi_cycle,
-    psi_upper,
-    purity_defect,
-    rep_from_json,
-    rep_to_json,
-    reverse_basis,
-    rho_nest,
-    upper_plan,
 )
 
 __version__ = "0.1.0"
@@ -184,3 +152,24 @@ __all__ = [
     "upper_plan",
     "ut_separating_condition",
 ]
+
+
+_PUBLIC = frozenset(__all__)
+
+
+def __getattr__(name: str):
+    # Reached for the public names of ``linalg``, ``reps`` and ``recovery``, which
+    # are not bound above.  Not cached, so ``graphnest.X`` always reads what the
+    # defining module holds, also while a tracer or a test has replaced it.
+    if name in ("linalg", "reps", "recovery", "cli"):
+        return importlib.import_module("." + name, __name__)
+    if name in _PUBLIC:
+        for module in ("linalg", "reps", "recovery"):
+            namespace = vars(globals().get(module) or importlib.import_module("." + module, __name__))
+            if name in namespace:
+                return namespace[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _PUBLIC)

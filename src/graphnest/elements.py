@@ -13,13 +13,13 @@ from __future__ import annotations
 import cmath
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import GraphParseError, LimitError
 from .graphs import DirectedGraph, Path, compose, _levels, _path_count
-from .reps import FiniteRepresentation
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .reps import FiniteRepresentation
 
 #: Default ceiling on the truncated Fock basis size.
 DEFAULT_MAX_BASIS = 20_000
@@ -262,6 +262,9 @@ def truncated_left_regular(
     is built.  The returned representation carries the basis on its
     ``fock_basis`` attribute.
     """
+    import numpy as np  # here, so that importing this module leaves numpy unloaded
+    from .reps import FiniteRepresentation
+
     basis = truncated_fock_basis(g, d, max_basis=max_basis)
     n = basis.dimension
     labels = np.array([g.vertex_index(w.target) for w in basis.paths], dtype=np.intp)

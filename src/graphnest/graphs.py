@@ -20,7 +20,7 @@ import enum
 from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .errors import (
     GraphParseError,
@@ -186,30 +186,42 @@ class DirectedGraph:
         self.edges: tuple[Edge, ...] = tuple(Edge(n, s, t) for (n, s, t) in edges)
         self._condensation: Condensation | None = None
 
-        self._vertex_index: dict[str, int] = {}
-        for i, v in enumerate(self.vertices):
-            if not v:
-                raise GraphParseError("empty vertex name")
-            if v in self._vertex_index:
-                raise GraphParseError(f"duplicate vertex {v!r}")
-            self._vertex_index[v] = i
-
-        self._edge_index: dict[str, int] = {}
+        # Checks in bulk; ``_reject`` walks the names only to name the offender.
+        self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
+        self._edge_index = {e.name: i for i, e in enumerate(self.edges)}
         self._out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         self._in: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        for i, e in enumerate(self.edges):
-            if not e.name:
-                raise GraphParseError("empty edge name")
-            if e.name in self._edge_index:
-                raise GraphParseError(f"duplicate edge {e.name!r}")
-            for endpoint in (e.source, e.target):
-                if endpoint not in self._vertex_index:
-                    raise GraphParseError(
-                        f"edge {e.name!r} references undeclared vertex {endpoint!r}"
-                    )
-            self._edge_index[e.name] = i
-            self._out[e.source].append(e)
-            self._in[e.target].append(e)
+        try:
+            for e in self.edges:
+                self._out[e.source].append(e)
+                self._in[e.target].append(e)
+            valid = (len(self._vertex_index) == len(self.vertices) and all(self.vertices)
+                     and len(self._edge_index) == len(self.edges) and all(self._edge_index))
+        except KeyError:  # an undeclared endpoint
+            valid = False
+        if not valid:
+            self._reject()
+
+    def _reject(self) -> NoReturn:
+        """Raise the error for the first empty, duplicate or dangling name,
+        walking vertices and then edges in declaration order."""
+        for kind, parts in (
+            ("vertex", [(v, ()) for v in self.vertices]),
+            ("edge", [(e.name, (e.source, e.target)) for e in self.edges]),
+        ):
+            seen: set[str] = set()
+            for name, endpoints in parts:
+                if not name:
+                    raise GraphParseError(f"empty {kind} name")
+                if name in seen:
+                    raise GraphParseError(f"duplicate {kind} {name!r}")
+                seen.add(name)
+                for endpoint in endpoints:
+                    if endpoint not in self._vertex_index:
+                        raise GraphParseError(
+                            f"edge {name!r} references undeclared vertex {endpoint!r}"
+                        )
+        raise AssertionError("no malformed name found")
 
     # -- basic lookups ----------------------------------------------------
 

@@ -53,6 +53,27 @@ def test_graph_json_rejects_malformed():
         gn.graph_from_json({"vertices": ["v"], "edges": [["a", "v"]]})
 
 
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        (["v", ""], [], "empty vertex name"),
+        (["v", "w", "v"], [], "duplicate vertex 'v'"),
+        (["v"], [("", "v", "v")], "empty edge name"),
+        (["v"], [("a", "v", "v"), ("a", "v", "v")], "duplicate edge 'a'"),
+        (["v"], [("a", "v", "q")], "edge 'a' references undeclared vertex 'q'"),
+        # the first fault in declaration order wins, vertices before edges
+        (["v", "v"], [("a", "v", "q"), ("", "v", "v")], "duplicate vertex 'v'"),
+        (["v"], [("a", "q", "v"), ("a", "v", "v")], "edge 'a' references undeclared vertex 'q'"),
+        (["v"], [("a", "v", "v"), ("a", "v", "q")], "duplicate edge 'a'"),
+    ],
+)
+def test_graph_constructor_names_the_first_fault(vertices, edges, message):
+    with pytest.raises(gn.GraphParseError) as info:
+        gn.DirectedGraph(vertices, edges)
+    assert str(info.value) == message
+    assert info.value.__context__ is None
+
+
 # -- paths and composition ---------------------------------------------------------
 
 
