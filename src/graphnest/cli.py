@@ -160,8 +160,10 @@ def _parse_loop_choice(g: DirectedGraph, spec: str | None) -> dict[str, str] | N
 
 def _dump_json(obj: dict) -> str:
     payload = {"schema_version": SCHEMA_VERSION, **obj}
-    # Without ``indent`` json.dumps runs its C encoder.
-    return json.dumps(payload, sort_keys=True) + "\n"
+    # Without ``indent`` json.dumps runs its C encoder.  Every payload is a
+    # tree built fresh for this call, so nothing can cycle: the encoder need
+    # not record each container it enters.
+    return json.dumps(payload, sort_keys=True, check_circular=False) + "\n"
 
 
 def _write_emit(path: str, obj: dict) -> None:

@@ -266,21 +266,31 @@ def truncated_left_regular(
     from .reps import FiniteRepresentation
 
     basis = truncated_fock_basis(g, d, max_basis=max_basis)
-    n = basis.dimension
-    labels = np.array([g.vertex_index(w.target) for w in basis.paths], dtype=np.intp)
-    names, rows = [], []
-    for e in g.edges:
-        ep = g.edge_path(e.name)
-        row = [
-            basis.index(compose(ep, w)) if w.target == e.source and w.length < d else -1
-            for w in basis.paths
-        ]
-        if max(row, default=-1) >= 0:
-            names.append(e.name)
-            rows.append(row)
-    rows = np.array(rows, dtype=np.intp).reshape(len(names), n)
+    n, nv = basis.dimension, len(g.vertices)
+    edges = g.edges if d else ()
+    target = [g.vertex_index(e.target) for e in g.edges]
+    out = [[g.edge_index(e.name) for e in g._out[x]] for x in g.vertices]
+    # Positions follow ``_levels``: ξ_x goes to the one-edge path e at
+    # n_vertices + (index of e), and past level 1 the children e·w of the
+    # paths w, in basis order and each w's out-edges in declaration order,
+    # take the next positions in turn.  Once they fill the basis, the later
+    # paths have no children inside it.
+    labels = list(range(nv)) + target[: len(edges)]
+    rows = [[-1] * n for _ in edges]
+    for i, e in enumerate(edges):
+        rows[i][g.vertex_index(e.source)] = nv + i
+    for col in range(nv, n):
+        if len(labels) == n:
+            break
+        for i in out[labels[col]]:
+            rows[i][col] = len(labels)
+            labels.append(target[i])
+    rows = np.array(rows, dtype=np.intp).reshape(len(edges), n)
     weights = (rows >= 0).astype(np.complex128)
-    return FiniteRepresentation(g, n, labels, (names, rows, weights), fock_basis=basis)
+    return FiniteRepresentation(
+        g, n, np.array(labels, dtype=np.intp), ([e.name for e in edges], rows, weights),
+        fock_basis=basis,
+    )
 
 
 # -- JSON encoding ------------------------------------------------------------------

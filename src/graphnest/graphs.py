@@ -126,9 +126,10 @@ class Condensation:
     ``components`` are ordered by first-declared member vertex.
     ``quotient_edges`` are the original edges whose endpoints lie in distinct
     components, in declaration order.  ``topological_order`` lists component
-    indices so that every quotient edge points forward.  ``successors[i]``
-    is the sorted tuple of components that one quotient edge leads to from
-    component ``i``; reachability is a search over it.
+    indices so that every quotient edge points forward, and ``rank[i]`` is
+    component ``i``'s position in it.  ``successors[i]`` is the sorted tuple
+    of components that one quotient edge leads to from component ``i``;
+    reachability is a search over it.
     """
 
     components: tuple[Component, ...]
@@ -136,17 +137,23 @@ class Condensation:
     quotient_edges: tuple[Edge, ...] = ()
     topological_order: tuple[int, ...] = field(default=(), repr=False, compare=False)
     successors: tuple[tuple[int, ...], ...] = field(default=(), repr=False, compare=False)
+    rank: tuple[int, ...] = field(default=(), repr=False, compare=False)
 
     def component_of(self, vertex: str) -> Component:
         return self.components[self.vertex_component[vertex]]
 
     def component_reaches(self, i: int, j: int) -> bool:
         """Reflexive reachability between component indices in the quotient;
-        no component reaches an index outside ``range(len(components))``."""
-        seen, todo = {i}, [i] if 0 <= i < len(self.successors) else []
+        no component reaches an index outside ``range(len(components))``.
+        Every quotient edge raises the rank, so the search skips components
+        ranked past ``j``."""
+        rank = self.rank
+        if not (0 <= i < len(rank) and 0 <= j < len(rank)) or rank[i] > rank[j]:
+            return False
+        seen, todo = {i}, [i]
         while todo and j not in seen:
             for s in self.successors[todo.pop()]:
-                if s not in seen:
+                if s not in seen and rank[s] <= rank[j]:
                     seen.add(s)
                     todo.append(s)
         return j in seen
@@ -570,6 +577,7 @@ def condensation(g: DirectedGraph) -> Condensation:
         quotient_edges=tuple(crossing),
         topological_order=tuple(reversed(comp_of_emitted)),
         successors=tuple(tuple(sorted(s)) for s in succ),
+        rank=tuple(len(emitted) - 1 - k for k in by_first),
     )
     return g._condensation
 
@@ -720,9 +728,13 @@ def _levels(
 ) -> Iterator[list[Path]]:
     """Yield the paths out of ``starts`` (given in declaration order) grouped
     by length 0 … ``max_len``, each level in ``path_sort_key`` order, until a
-    level is empty.  Each level is counted before it is built, and
-    ``LimitError`` is raised, naming the count and the ``setting`` that caps
-    it, before the paths so far would pass ``max_paths``."""
+    level is empty.  Level 0 is ``starts`` and level 1 the edges out of them
+    in declaration order; each later level holds the children e·p of the
+    level before, p by p, each p's out-edges e in declaration order.  The
+    truncated left regular representation places its images by this order.
+    Each level is counted before it is built, and ``LimitError`` is raised,
+    naming the count and the ``setting`` that caps it, before the paths so
+    far would pass ``max_paths``."""
     level: list[Path] = []
     produced = 0
     for length in range(max_len + 1):

@@ -44,12 +44,7 @@ from .graphs import (
     decompose_path,
     primitive_root,
 )
-from .linalg import (
-    NORM_TOL,
-    as_matrix,
-    matrix_from_json,
-    matrix_to_json,
-)
+from .linalg import NORM_TOL, as_matrix, matrix_from_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .elements import FormalElement
@@ -862,11 +857,41 @@ def is_coisometric(rep: FiniteRepresentation) -> bool:
 
 
 def rep_to_json(rep: FiniteRepresentation) -> dict:
+    """Schema 1: every vertex and edge image of the graph as the
+    ``matrix_to_json`` object of its k×k matrix (row-major ``[re, im]``
+    pairs), written from the monomial storage without building the matrix.
+    Each image starts as one shared ``(0.0, 0.0)`` pair per cell, and only
+    its at most k nonzero cells are set: ``(1.0, 0.0)`` at a vertex's
+    positions, the stored weight's parts where an edge sends a position."""
+    g, k = rep.graph, rep.dimension
+    zero, one = (0.0, 0.0), (1.0, 0.0)
+
+    def image(cells) -> dict:
+        entries = [zero] * (k * k)
+        for at, pair in cells:
+            entries[at] = pair
+        return {"rows": k, "cols": k, "entries": entries}
+
+    positions: list[list[int]] = [[] for _ in g.vertices]
+    for col, x in enumerate(rep.labels.tolist()):
+        if x >= 0:
+            positions[x].append(col)
+    edge_cells = {
+        name: [
+            (row * k + col, (w.real, w.imag))
+            for col, (row, w) in enumerate(zip(rows, weights))
+            if row >= 0
+        ]
+        for name, rows, weights in zip(rep.edge_names, rep.rows.tolist(), rep.weights.tolist())
+    }
     return {
-        "dimension": rep.dimension,
+        "dimension": k,
         "orientation": rep.orientation,
-        "vertex_images": {x: matrix_to_json(m) for x, m in sorted(rep.vertex_images.items())},
-        "edge_images": {e: matrix_to_json(m) for e, m in sorted(rep.edge_images.items())},
+        "vertex_images": {
+            x: image((col * (k + 1), one) for col in positions[g.vertex_index(x)])
+            for x in sorted(g.vertices)
+        },
+        "edge_images": {e: image(edge_cells.get(e, ())) for e in sorted(g._edge_index)},
     }
 
 

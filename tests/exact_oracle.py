@@ -25,7 +25,9 @@ multiplied new directions by the whole basis in both orders; the package
 now multiplies them only by an orthonormal basis of the generators' span.
 
 ``matrix_to_json_by_entries`` is the per-entry matrix encoding that the
-package's one-call numpy encoding replaces.
+package's one-call numpy encoding replaces, and ``rep_to_json_by_entries``
+the schema-1 representation JSON encoded that way from the dense views,
+which the package writes from its monomial storage instead.
 
 ``fock_basis_per_vertex`` and ``n_nest_by_free_word_walk`` enumerate paths
 by length the way the package did before it had one enumerator: the Fock
@@ -477,6 +479,17 @@ def matrix_to_json_by_entries(m):
         "rows": rows,
         "cols": cols,
         "entries": [[float(z.real), float(z.imag)] for z in a.reshape(-1)],
+    }
+
+
+def rep_to_json_by_entries(rep):
+    """Schema-1 representation JSON: every vertex and edge image read as a
+    dense k×k matrix and encoded entry by entry."""
+    return {
+        "dimension": rep.dimension,
+        "orientation": rep.orientation,
+        "vertex_images": {x: matrix_to_json_by_entries(m) for x, m in rep.vertex_images.items()},
+        "edge_images": {e: matrix_to_json_by_entries(m) for e, m in rep.edge_images.items()},
     }
 
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import graphnest as gn
 from graphnest import cli
 from conftest import loop_walk, two_loop_chain_text
+from exact_oracle import rep_to_json_by_entries
 
 FIXTURES = Path(__file__).parent / "fixtures"
 P2 = str(FIXTURES / "p2.graph")
@@ -431,6 +432,14 @@ def _separate_payload():
     return {"graph": gn.graph_to_json(G_P2), "witness": witness.to_json()}
 
 
+def _separate_emit_payload():
+    witness = gn.separate(G_P2, _elem(G_P2), "nest")
+    return {
+        "graph": gn.graph_to_json(G_P2),
+        "representation": gn.rep_to_json(witness.representation),
+    }
+
+
 #: Each subcommand's --json invocation, and the payload the library calls build.
 JSON_CASES = {
     "classify": (
@@ -475,15 +484,7 @@ def test_json_output_is_one_line_holding_the_library_payload(case, capsys):
     "argv, build",
     [
         (JSON_CASES["rep-psi"][0], _psi_payload),
-        (
-            JSON_CASES["separate"][0],
-            lambda: {
-                "graph": gn.graph_to_json(G_P2),
-                "representation": gn.rep_to_json(
-                    gn.separate(G_P2, _elem(G_P2), "nest").representation
-                ),
-            },
-        ),
+        (JSON_CASES["separate"][0], _separate_emit_payload),
     ],
     ids=["rep", "separate"],
 )
@@ -494,6 +495,25 @@ def test_emitted_file_is_one_line_holding_the_library_payload(tmp_path, capsys, 
     text = out.read_text()
     assert text.endswith("\n") and text.count("\n") == 1
     assert json.loads(text) == _as_json_values(build())
+
+
+@pytest.mark.parametrize("case", [c for c in JSON_CASES if c.startswith("rep-")] + ["separate"])
+def test_representation_json_is_the_dense_encoding_byte_for_byte(
+    case, tmp_path, capsys, monkeypatch
+):
+    # json.loads reads -0.0 as equal to 0.0, so these compare the text
+    argv, build = JSON_CASES[case]
+    out = tmp_path / "out.json"
+    extra = ["--emit", str(out)] if case == "separate" else ["--json", "--emit", str(out)]
+    assert cli.main([*argv, *extra]) == 0
+    stdout = capsys.readouterr().out
+    # the library payload, every representation encoded from its dense views
+    monkeypatch.setattr(gn.reps, "rep_to_json", rep_to_json_by_entries)
+    payload = _separate_emit_payload() if case == "separate" else build()
+    expected = json.dumps({"schema_version": 1, **payload}, sort_keys=True) + "\n"
+    assert out.read_text() == expected
+    if case != "separate":
+        assert stdout == expected
 
 
 # -- text output, in process ---------------------------------------------------------

@@ -14,10 +14,13 @@ verdicts, and ``evaluate`` must agree within 1e-12: the dense products
 round complex products with fused multiply-adds, so they can differ from
 the walk in the last place.  Random weighted partial permutations built
 through the dense constructor, with weights past ½, go through the same
-comparison.
+comparison.  The schema-1 JSON that ``rep_to_json`` writes from the arrays
+must equal, byte for byte, the JSON of the dense views encoded entry by
+entry, and read back to the same representation.
 """
 
 import cmath
+import json
 import random
 import tracemalloc
 
@@ -33,6 +36,7 @@ from exact_oracle import (
     evaluate_dense,
     is_coisometric_dense,
     purity_defect_dense,
+    rep_to_json_by_entries,
     validate_dense,
 )
 
@@ -234,3 +238,35 @@ def test_fock_depth_twelve_stays_monomial(p2):
     assert not coisometric
     # one dense 8191×8191 complex image alone would take 1 GB
     assert peak < 64 * 2**20, peak
+
+
+def _check_json(g, rep):
+    # repr tells -0.0 from 0.0, which == does not
+    text = json.dumps(gn.rep_to_json(rep), sort_keys=True)
+    assert text == json.dumps(rep_to_json_by_entries(rep), sort_keys=True), repr(rep)
+    assert gn.rep_from_json(g, json.loads(text)) == rep, repr(rep)
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_TEXTS))
+def test_rep_json_is_the_dense_encoding_byte_for_byte_on_corpus(name):
+    rng = random.Random(name)
+    g = make_graph(name)
+    reps = [case[1] for case in _cases(rng, g, 3, 127)]
+    for u in gn.all_cycles(g, 4)[:1]:
+        # ½·λ keeps a negative zero part here, which the JSON must keep
+        for lam in (complex(-1, -0.0), complex(-0.0, 1)):
+            rep = gn.phi_cycle(g, u, lam)
+            assert np.signbit(np.concatenate([rep.weights.real, rep.weights.imag])).any()
+            reps.append(rep)
+    for rep in reps:
+        _check_json(g, rep)
+
+
+def test_rep_json_is_the_dense_encoding_byte_for_byte_on_random_graphs():
+    # the random monomials have unlabelled positions and signed weights
+    rng = random.Random(2025)
+    for _ in range(60):
+        g = random_graph(rng)
+        for case in _cases(rng, g, 1, 31):
+            _check_json(g, case[1])
+        _check_json(g, _random_monomial(rng, g)[0])
