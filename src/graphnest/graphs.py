@@ -20,7 +20,7 @@ import enum
 from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     GraphParseError,
@@ -140,7 +140,10 @@ class Condensation:
     rank: tuple[int, ...] = field(default=(), repr=False, compare=False)
 
     def component_of(self, vertex: str) -> Component:
-        return self.components[self.vertex_component[vertex]]
+        try:
+            return self.components[self.vertex_component[vertex]]
+        except KeyError:
+            raise PathError(f"unknown vertex {vertex!r}") from None
 
     def component_reaches(self, i: int, j: int) -> bool:
         """Reflexive reachability between component indices in the quotient;
@@ -183,9 +186,11 @@ class DirectedGraph:
     """A finite directed multigraph with ordered, uniquely named parts.
 
     Vertex and edge declaration order is significant: it fixes basis orders,
-    enumeration orders and tie-breaks throughout the package.  Instances are
-    immutable after construction, which lets ``condensation`` compute its
-    result once per instance.
+    enumeration orders and tie-breaks throughout the package, and the order
+    in which the constructor checks names, vertices first: the first empty or
+    duplicate name or undeclared endpoint raises ``GraphParseError``.  A
+    lookup by a name the graph does not have raises ``PathError``.  Instances
+    are immutable, which lets ``condensation`` compute its result once.
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]):
@@ -193,42 +198,26 @@ class DirectedGraph:
         self.edges: tuple[Edge, ...] = tuple(Edge(n, s, t) for (n, s, t) in edges)
         self._condensation: Condensation | None = None
 
-        # Checks in bulk; ``_reject`` walks the names only to name the offender.
-        self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
-        self._edge_index = {e.name: i for i, e in enumerate(self.edges)}
-        self._out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        self._in: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        try:
-            for e in self.edges:
-                self._out[e.source].append(e)
-                self._in[e.target].append(e)
-            valid = (len(self._vertex_index) == len(self.vertices) and all(self.vertices)
-                     and len(self._edge_index) == len(self.edges) and all(self._edge_index))
-        except KeyError:  # an undeclared endpoint
-            valid = False
-        if not valid:
-            self._reject()
-
-    def _reject(self) -> NoReturn:
-        """Raise the error for the first empty, duplicate or dangling name,
-        walking vertices and then edges in declaration order."""
-        for kind, parts in (
-            ("vertex", [(v, ()) for v in self.vertices]),
-            ("edge", [(e.name, (e.source, e.target)) for e in self.edges]),
-        ):
-            seen: set[str] = set()
-            for name, endpoints in parts:
-                if not name:
-                    raise GraphParseError(f"empty {kind} name")
-                if name in seen:
-                    raise GraphParseError(f"duplicate {kind} {name!r}")
-                seen.add(name)
-                for endpoint in endpoints:
-                    if endpoint not in self._vertex_index:
-                        raise GraphParseError(
-                            f"edge {name!r} references undeclared vertex {endpoint!r}"
-                        )
-        raise AssertionError("no malformed name found")
+        # One pass in declaration order; the first bad name raises.
+        self._vertex_index: dict[str, int] = {}
+        self._out: dict[str, list[Edge]] = {}
+        for i, v in enumerate(self.vertices):
+            if not v:
+                raise GraphParseError("empty vertex name")
+            if self._vertex_index.setdefault(v, i) != i:
+                raise GraphParseError(f"duplicate vertex {v!r}")
+            self._out[v] = []
+        self._edge_index: dict[str, int] = {}
+        for i, e in enumerate(self.edges):
+            if not e.name:
+                raise GraphParseError("empty edge name")
+            if self._edge_index.setdefault(e.name, i) != i:
+                raise GraphParseError(f"duplicate edge {e.name!r}")
+            out = self._out.get(e.source)
+            if out is None or e.target not in self._out:
+                missing = e.source if out is None else e.target
+                raise GraphParseError(f"edge {e.name!r} references undeclared vertex {missing!r}")
+            out.append(e)
 
     # -- basic lookups ----------------------------------------------------
 
@@ -251,19 +240,27 @@ class DirectedGraph:
             raise PathError(f"unknown edge {name!r}") from None
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
-        return tuple(self._out[v])
+        try:
+            return tuple(self._out[v])
+        except KeyError:
+            raise PathError(f"unknown vertex {v!r}") from None
 
     def in_edges(self, v: str) -> tuple[Edge, ...]:
-        return tuple(self._in[v])
+        self.vertex_index(v)
+        return tuple(e for e in self.edges if e.target == v)
 
     def loops_at(self, v: str) -> tuple[Edge, ...]:
-        return tuple(e for e in self._out[v] if e.target == v)
+        try:
+            return tuple(e for e in self._out[v] if e.target == v)
+        except KeyError:
+            raise PathError(f"unknown vertex {v!r}") from None
 
     def sinks(self) -> tuple[str, ...]:
         return tuple(v for v in self.vertices if not self._out[v])
 
     def sources(self) -> tuple[str, ...]:
-        return tuple(v for v in self.vertices if not self._in[v])
+        targets = {e.target for e in self.edges}
+        return tuple(v for v in self.vertices if v not in targets)
 
     # -- identity ----------------------------------------------------------
 
@@ -322,7 +319,10 @@ class DirectedGraph:
         vertex declaration index."""
         if p.is_vertex:
             return (0, (self.vertex_index(p.source),))
-        return (p.length, tuple(self._edge_index[n] for n in p.traversal))
+        try:
+            return (p.length, tuple(self._edge_index[n] for n in p.traversal))
+        except KeyError as exc:
+            raise PathError(f"unknown edge {exc.args[0]!r}") from None
 
     # -- graph transforms ----------------------------------------------------
 
@@ -590,10 +590,8 @@ def is_transitive_in_components(g: DirectedGraph) -> bool:
 
 def reaches(g: DirectedGraph, x: str, y: str) -> bool:
     """Reflexive reachability: is there a (possibly trivial) path x → y?"""
-    g.vertex_index(x)
-    g.vertex_index(y)
     cond = condensation(g)
-    return cond.component_reaches(cond.vertex_component[x], cond.vertex_component[y])
+    return cond.component_reaches(cond.component_of(x).index, cond.component_of(y).index)
 
 
 # -- cycles --------------------------------------------------------------------

@@ -250,16 +250,17 @@ def _peak(poly: dict[tuple[int, ...], tuple[int, complex]], axes: int) -> tuple[
             f"separation grid of {size} points exceeds the cap {MAX_GRID_POINTS} "
             "set by recovery.MAX_GRID_POINTS"
         )
-    coefficients = np.zeros(shape, dtype=np.complex128)
+    # Axes no exponent reaches stay at λ = 1, outside the transform (numpy allows 64 axes).
+    live = [i for i, n in enumerate(shape) if n > 1]
+    coefficients = np.zeros([shape[i] for i in live], dtype=np.complex128)
     shortest = min([length for length, _ in poly.values()], default=0)
     for exponents, (length, c) in poly.items():
-        coefficients[exponents] = c * 0.5 ** (length - shortest)
+        coefficients[tuple(exponents[i] for i in live)] = c * 0.5 ** (length - shortest)
     values = np.abs(np.fft.ifftn(coefficients)).reshape(-1)
     best = int(np.argmax(values))
-    best = np.unravel_index(0 if values[0] >= values[best] * (1 - 1e-12) else best, shape)
-    return tuple(
-        complex(np.exp(2j * np.pi * (int(t) / n))) for t, n in zip(best, shape)
-    )
+    best = 0 if values[0] >= values[best] * (1 - 1e-12) else best
+    turns = dict(zip(live, np.unravel_index(best, coefficients.shape)))
+    return tuple(complex(np.exp(2j * np.pi * (int(turns.get(i, 0)) / n))) for i, n in enumerate(shape))
 
 
 def separate(

@@ -74,6 +74,86 @@ def test_graph_constructor_names_the_first_fault(vertices, edges, message):
     assert info.value.__context__ is None
 
 
+def first_fault(vertices, edges):
+    """The constructor's message for the first bad name, walking vertices
+    and then edges in declaration order; None when every name is good."""
+    seen_v = set()
+    for v in vertices:
+        if not v:
+            return "empty vertex name"
+        if v in seen_v:
+            return f"duplicate vertex {v!r}"
+        seen_v.add(v)
+    seen_e = set()
+    for name, src, dst in edges:
+        if not name:
+            return "empty edge name"
+        if name in seen_e:
+            return f"duplicate edge {name!r}"
+        seen_e.add(name)
+        for endpoint in (src, dst):
+            if endpoint not in seen_v:
+                return f"edge {name!r} references undeclared vertex {endpoint!r}"
+    return None
+
+
+@st.composite
+def graph_parts(draw):
+    """Vertex names and edge triples from small alphabets, where "" is never
+    a good name and "q" is never declared.  Half the draws keep vertex names
+    unique and endpoints mostly declared, and half of those edge names too,
+    so that good graphs with edges and faults past the vertices both occur."""
+    tame = draw(st.booleans())
+    vertices = draw(st.lists(st.sampled_from(["u", "v", "w"] if tame else ["", "u", "v", "w"]),
+                             unique=tame, max_size=4))
+    ends = st.sampled_from(vertices * 5 + ["q"] if tame else ["", "u", "v", "w", "q"])
+    names = st.sampled_from(["a", "b", "c", "d", "e"] if tame else ["", "a", "b", "c"])
+    distinct = tame and draw(st.booleans())
+    edges = draw(st.lists(st.tuples(names, ends, ends), max_size=5,
+                          unique_by=(lambda e: e[0]) if distinct else None))
+    return vertices, edges
+
+
+@settings(deadline=None, max_examples=300)
+@given(graph_parts())
+def test_graph_constructor_agrees_with_the_first_fault_oracle(parts):
+    vertices, edges = parts
+    expected = first_fault(vertices, edges)
+    if expected is not None:
+        with pytest.raises(gn.GraphParseError) as info:
+            gn.DirectedGraph(vertices, edges)
+        assert str(info.value) == expected
+        assert info.value.__context__ is None
+        return
+    g = gn.DirectedGraph(vertices, edges)
+    for v in vertices:
+        assert g.out_edges(v) == tuple(e for e in g.edges if e.source == v)
+        assert g.in_edges(v) == tuple(e for e in g.edges if e.target == v)
+        assert g.loops_at(v) == tuple(e for e in g.edges if e.source == e.target == v)
+    assert g.sinks() == tuple(v for v in vertices if all(e.source != v for e in g.edges))
+    assert g.sources() == tuple(v for v in vertices if all(e.target != v for e in g.edges))
+    assert gn.graph_from_json(gn.graph_to_json(g)) == g
+
+
+@pytest.mark.parametrize(
+    "lookup, message",
+    [
+        (lambda g: g.out_edges("nope"), "unknown vertex 'nope'"),
+        (lambda g: g.in_edges("nope"), "unknown vertex 'nope'"),
+        (lambda g: g.loops_at("nope"), "unknown vertex 'nope'"),
+        (lambda g: g.path_sort_key(gn.Path("v", "v", ("zz",))), "unknown edge 'zz'"),
+        (lambda g: gn.condensation(g).component_of("nope"), "unknown vertex 'nope'"),
+        (lambda g: gn.reaches(g, "v", "nope"), "unknown vertex 'nope'"),
+    ],
+    ids=["out_edges", "in_edges", "loops_at", "path_sort_key", "component_of", "reaches"],
+)
+def test_lookups_by_an_unknown_name_raise_path_error(lookup, message):
+    g = gn.parse_graph("vertex v\nedge a v v\n")
+    with pytest.raises(gn.PathError) as info:
+        lookup(g)
+    assert str(info.value) == message
+
+
 # -- paths and composition ---------------------------------------------------------
 
 

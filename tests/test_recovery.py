@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import graphnest as gn
 from conftest import loop_walk, make_graph, random_nonzero_element, two_loop_chain_text
@@ -196,6 +197,51 @@ def test_paths_past_the_cap_raise_limit_error(p2):
     for family in ("irreducible", "nest", "upper"):
         with pytest.raises(gn.LimitError, match="1024.*1022"):
             gn.separate(p2, a, family)
+
+
+@st.composite
+def walks_near_the_cap(draw):
+    """A power of a closed walk of at most 4 edges on p2 or c2_loops_both,
+    1010 to 1035 edges long, with a coefficient for it."""
+    g = make_graph(draw(st.sampled_from(["p2", "c2_loops_both"])))
+    word = draw(st.sampled_from(gn.all_cycles(g, 4))).traversal
+    n = draw(st.integers(-(-1010 // len(word)), 1035 // len(word)))
+    coeff = complex(draw(st.floats(0.5, 2.0)), draw(st.floats(-2.0, 2.0)))
+    return g, word, g.path_from_traversal(word * n), coeff
+
+
+@settings(deadline=None, max_examples=40)
+@given(walks_near_the_cap())
+def test_walks_near_the_length_cap(case):
+    g, word, w, coeff = case
+    a = gn.FormalElement(g, [(w, coeff), (g.path_from_traversal(word), 1.0)])
+    for recover in (gn.recover_irreducible, gn.recover_nest, gn.recover_upper):
+        if w.length <= gn.recovery.MAX_PATH_LENGTH:
+            assert abs(recover(g, a, w) - coeff) <= 1e-8 * abs(coeff)
+        else:
+            with pytest.raises(gn.LimitError, match="recovery.MAX_PATH_LENGTH"):
+                recover(g, a, w)
+    single = gn.FormalElement.single(g, w, coeff)
+    # A walk on no designated loop keeps every edge in the triangular
+    # skeleton, so its witness is |w|+1-dimensional: at this length the
+    # evaluation and SVD take about a second.  The 70-edge case below
+    # covers that branch.
+    avoids_loops = not set(word) & set(gn.designated_loops(g).values())
+    for family in ("irreducible", "nest") + (() if avoids_loops else ("upper",)):
+        try:
+            wit = gn.separate(g, single, family)
+        except gn.LimitError:
+            continue
+        assert wit.value >= abs(wit.entry_value) > 0
+
+
+def test_upper_witness_with_more_parameters_than_array_axes(p2):
+    # 71 diagonal parameters, none of them raised: past numpy's 64 axes
+    a = gn.FormalElement.single(p2, p2.path_from_traversal(["b"] * 70))
+    wit = gn.separate(p2, a, "upper")
+    assert wit.representation.dimension == 71
+    assert wit.witness_point == (1 + 0j,) * 71
+    assert wit.value >= abs(wit.entry_value) > 0
 
 
 # -- separating witnesses -------------------------------------------------------------
