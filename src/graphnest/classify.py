@@ -13,7 +13,9 @@ about the graph's path algebra purely combinatorially:
 * which naturally ordered nest case, if any, the graph matches at finite
   size.
 
-``classify`` bundles everything into one deterministic report.
+``classify`` bundles everything into one deterministic report.  Each check
+walks the condensation's int core (vertex, edge and component ids) once,
+without building ``Component`` objects.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import (
+    LOOP_MULTIPLICITY,
     ComponentClass,
     Condensation,
     DirectedGraph,
@@ -35,11 +38,16 @@ def is_strongly_transitive(g: DirectedGraph) -> bool:
     One vertex with one loop is a cycle graph (not strongly transitive);
     one vertex with two loops is strongly transitive.
     """
-    cond = condensation(g)
-    return (
-        len(cond.components) == 1
-        and cond.components[0].component_class is ComponentClass.STRONGLY_TRANSITIVE
-    )
+    return condensation(g)._classes == [ComponentClass.STRONGLY_TRANSITIVE]
+
+
+def _loop_flags(g: DirectedGraph) -> bytearray:
+    """``looped[v]`` is 1 when vertex id ``v`` carries a loop edge."""
+    looped = bytearray(len(g.vertices))
+    for s, t in zip(g._src, g._dst):
+        if s == t:
+            looped[s] = 1
+    return looped
 
 
 def ut_separating_condition(g: DirectedGraph) -> bool:
@@ -48,8 +56,14 @@ def ut_separating_condition(g: DirectedGraph) -> bool:
     This is the graph condition under which triangular representations
     separate the path algebra; it holds vacuously for acyclic graphs.
     """
-    comps = condensation(g).components
-    return all(g.loops_at(v) for c in comps if not c.is_trivial for v in c.vertices)
+    cond = condensation(g)
+    looped = _loop_flags(g)
+    return all(
+        looped[v]
+        for members, cls in zip(cond._members, cond._classes)
+        if cls is not ComponentClass.TRIVIAL
+        for v in members
+    )
 
 
 @dataclass(frozen=True)
@@ -93,15 +107,14 @@ def check_faithful_nest_conditions(g: DirectedGraph) -> FaithfulNestConditions:
     cond = condensation(g)
     succ = cond.successors
     topo = cond.topological_order
+    classes = cond._classes
 
     # Reachability is transitive and respects the topological order, so it
     # is total exactly when a quotient edge joins each component to the next.
     c1 = all(b in succ[a] for a, b in zip(topo, topo[1:]))
-    c2 = all(
-        comp.component_class is not ComponentClass.CYCLE for comp in cond.components
-    )
+    c2 = ComponentClass.CYCLE not in classes
 
-    if not any(comp.is_trivial for comp in cond.components):
+    if ComponentClass.TRIVIAL not in classes:
         return FaithfulNestConditions(c1, c2, True, c3_vacuous=True)
 
     chain = _trivial_chain(g, cond)
@@ -110,15 +123,15 @@ def check_faithful_nest_conditions(g: DirectedGraph) -> FaithfulNestConditions:
         # Along the chain, some trivial component reaches c iff the head
         # does, and c reaches some trivial component iff it reaches the tail:
         # one pass forward from the head, and one backward into the tail.
-        after = {cond.vertex_component[chain[0]]}
-        before = {cond.vertex_component[chain[-1]]}
+        after = {chain[0]}
+        before = {chain[-1]}
         for a in topo:
             if a in after:
                 after.update(succ[a])
         for a in reversed(topo):
             if not before.isdisjoint(succ[a]):
                 before.add(a)
-        ok = all(cond.components[c].is_trivial for c in after & before)
+        ok = all(classes[c] is ComponentClass.TRIVIAL for c in after & before)
 
     return FaithfulNestConditions(c1, c2, ok, c3_vacuous=False)
 
@@ -146,50 +159,53 @@ class NNestResult:
         }
 
 
-def _trivial_chain(g: DirectedGraph, cond: Condensation) -> list[str] | None:
-    """The vertices of the trivial components in topological order, when
-    they form a simple chain; otherwise (or with none) None.
+def _trivial_chain(g: DirectedGraph, cond: Condensation) -> list[int] | None:
+    """The trivial components in topological order, when their vertices
+    form a simple chain; otherwise (or with none) None.
 
     Every edge among them runs forward in that order, so they form a simple
     directed path exactly when those edges are the consecutive pairs, once
     each.
     """
-    chain = [
-        cond.components[i].vertices[0]
-        for i in cond.topological_order
-        if cond.components[i].is_trivial
-    ]
-    members = set(chain)
-    internal = [
-        (e.source, e.target) for e in g.edges if e.source in members and e.target in members
-    ]
-    if not chain or sorted(internal) != sorted(zip(chain, chain[1:])):
+    members = cond._members
+    chain = [i for i in cond.topological_order if cond._classes[i] is ComponentClass.TRIVIAL]
+    if not chain:
         return None
-    return chain
+    position = {members[i][0]: k for k, i in enumerate(chain)}
+    linked = bytearray(len(chain))  # linked[k]: an edge joins members k and k + 1
+    out, dst = g._out, g._dst
+    for k, i in enumerate(chain):
+        for e in out[members[i][0]]:
+            j = position.get(dst[e])
+            if j is not None:
+                if j != k + 1 or linked[k]:
+                    return None
+                linked[k] = 1
+    return chain if all(linked[:-1]) else None
 
 
 def check_n_nest_case(g: DirectedGraph) -> NNestResult:
     cond = condensation(g)
 
-    if is_strongly_transitive(g) and all(g.loops_at(x) for x in g.vertices):
+    if is_strongly_transitive(g) and all(_loop_flags(g)):
         return NNestResult(
             "One", False, "strongly transitive with a loop at every vertex"
         )
 
-    nontrivial = [c for c in cond.components if not c.is_trivial]
+    classes, succ = cond._classes, cond.successors
+    nontrivial = [i for i, cls in enumerate(classes) if cls is not ComponentClass.TRIVIAL]
     chain = _trivial_chain(g, cond)
 
     if (
         chain is not None
         and len(nontrivial) == 1
-        and nontrivial[0].component_class is ComponentClass.STRONGLY_TRANSITIVE
-        and all(g.loops_at(x) for x in nontrivial[0].vertices)
+        and classes[nontrivial[0]] is ComponentClass.STRONGLY_TRANSITIVE
+        and all(map(_loop_flags(g).__getitem__, cond._members[nontrivial[0]]))
     ):
-        # Every vertex outside the core lies on the chain.
-        base = set(nontrivial[0].vertices)
-        if not any(e.target in base and e.source not in base for e in g.edges) and any(
-            e.source in base and e.target == chain[0] for e in g.edges
-        ):
+        # Every vertex outside the core lies on the chain: no quotient edge
+        # enters the core, and one leaves it for the chain's head.
+        core = nontrivial[0]
+        if not any(core in s for s in succ) and chain[0] in succ[core]:
             return NNestResult(
                 "Three",
                 False,
@@ -250,21 +266,22 @@ _THEOREM_SLUGS = (
 def classify(g: DirectedGraph) -> ClassificationReport:
     """Run every decision procedure and bundle the verdicts."""
     cond = condensation(g)
+    vertices = g.vertices
     stats = {
-        "vertices": len(g.vertices),
+        "vertices": len(vertices),
         "edges": len(g.edges),
         "sinks": list(g.sinks()),
         "sources": list(g.sources()),
         "components": [
             {
-                "vertices": list(c.vertices),
-                "class": c.component_class.value,
-                "loop_multiplicity": c.loop_multiplicity,
+                "vertices": list(map(vertices.__getitem__, members)),
+                "class": cls.value,
+                "loop_multiplicity": LOOP_MULTIPLICITY[cls],
             }
-            for c in cond.components
+            for members, cls in zip(cond._members, cond._classes)
         ],
     }
-    generators = tuple(e.name for e in cond.quotient_edges)
+    generators = cond.crossing_edge_names
     return ClassificationReport(
         graph_stats=stats,
         semisimple=is_transitive_in_components(g),

@@ -268,8 +268,7 @@ def truncated_left_regular(
     basis = truncated_fock_basis(g, d, max_basis=max_basis)
     n, nv = basis.dimension, len(g.vertices)
     edges = g.edges if d else ()
-    target = [g.vertex_index(e.target) for e in g.edges]
-    out = [[g.edge_index(e.name) for e in g._out[x]] for x in g.vertices]
+    target, out = g._dst, g._out
     # Positions follow ``_levels``: ξ_x goes to the one-edge path e at
     # n_vertices + (index of e), and past level 1 the children e·w of the
     # paths w, in basis order and each w's out-edges in declaration order,
@@ -277,8 +276,8 @@ def truncated_left_regular(
     # paths have no children inside it.
     labels = list(range(nv)) + target[: len(edges)]
     rows = [[-1] * n for _ in edges]
-    for i, e in enumerate(edges):
-        rows[i][g.vertex_index(e.source)] = nv + i
+    for i, s in enumerate(g._src[: len(edges)]):
+        rows[i][s] = nv + i
     for col in range(nv, n):
         if len(labels) == n:
             break

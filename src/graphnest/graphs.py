@@ -130,6 +130,14 @@ class Condensation:
     component ``i``'s position in it.  ``successors[i]`` is the sorted tuple
     of components that one quotient edge leads to from component ``i``;
     reachability is a search over it.
+
+    ``condensation`` also keeps its int core: ``_component[v]`` is the
+    component of vertex id ``v``, ``_members[i]``, ``_internal[i]`` and
+    ``_classes[i]`` are component ``i``'s vertex ids in declaration order,
+    its internal edge ids and its class, and ``_popped`` lists the vertex
+    ids in the order Tarjan's stack gave them up.  It leaves ``components``
+    and ``vertex_component`` out, and the first read of each builds it from
+    that core.
     """
 
     components: tuple[Component, ...]
@@ -138,6 +146,31 @@ class Condensation:
     topological_order: tuple[int, ...] = field(default=(), repr=False, compare=False)
     successors: tuple[tuple[int, ...], ...] = field(default=(), repr=False, compare=False)
     rank: tuple[int, ...] = field(default=(), repr=False, compare=False)
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes not set: ``condensation`` leaves out
+        # ``components`` and ``vertex_component``, and the first read builds
+        # one from the int core and keeps it, as ``cached_property`` does.
+        core = self.__dict__
+        if name not in ("components", "vertex_component") or "_members" not in core:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        vertices, component = core["_vertices"], core["_component"]
+        if name == "components":
+            edges = core["_edges"]
+            value = tuple(
+                Component(i, tuple(map(vertices.__getitem__, members)),
+                          tuple(edges[e].name for e in internal), cls)
+                for i, (members, internal, cls) in enumerate(
+                    zip(core["_members"], core["_internal"], core["_classes"])
+                )
+            )
+        else:
+            # By component, and within one in the order Tarjan's stack
+            # gave them up, which a stable sort of that order keeps.
+            popped = sorted(core["_popped"], key=component.__getitem__)
+            value = MappingProxyType({vertices[v]: component[v] for v in popped})
+        core[name] = value
+        return value
 
     def component_of(self, vertex: str) -> Component:
         try:
@@ -191,33 +224,59 @@ class DirectedGraph:
     duplicate name or undeclared endpoint raises ``GraphParseError``.  A
     lookup by a name the graph does not have raises ``PathError``.  Instances
     are immutable, which lets ``condensation`` compute its result once.
+
+    Inside, a vertex or an edge is its declaration index.  Once the names
+    have passed the constructor's checks (or ``parse_graph``'s), ``_index``
+    fills ``_src[i]`` and ``_dst[i]``, the endpoint ids of edge ``i``, and
+    ``_out[v]``, the ids of the edges out of vertex ``v`` in declaration
+    order; ``_vertex_index`` and ``_edge_index`` map names to ids.
+    ``condensation``, ``classify`` and the path checks work over these ints,
+    and names and ``Edge`` objects appear only at the public boundary.
+    ``edges`` is built with the rest, not on first read.
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]):
         self.vertices: tuple[str, ...] = tuple(vertices)
-        self.edges: tuple[Edge, ...] = tuple(Edge(n, s, t) for (n, s, t) in edges)
-        self._condensation: Condensation | None = None
+        rows = [(n, s, t) for (n, s, t) in edges]
 
         # One pass in declaration order; the first bad name raises.
-        self._vertex_index: dict[str, int] = {}
-        self._out: dict[str, list[Edge]] = {}
+        vertex_index: dict[str, int] = {}
         for i, v in enumerate(self.vertices):
             if not v:
                 raise GraphParseError("empty vertex name")
-            if self._vertex_index.setdefault(v, i) != i:
+            if vertex_index.setdefault(v, i) != i:
                 raise GraphParseError(f"duplicate vertex {v!r}")
-            self._out[v] = []
-        self._edge_index: dict[str, int] = {}
-        for i, e in enumerate(self.edges):
-            if not e.name:
+        edge_index: dict[str, int] = {}
+        for i, (n, s, t) in enumerate(rows):
+            if not n:
                 raise GraphParseError("empty edge name")
-            if self._edge_index.setdefault(e.name, i) != i:
-                raise GraphParseError(f"duplicate edge {e.name!r}")
-            out = self._out.get(e.source)
-            if out is None or e.target not in self._out:
-                missing = e.source if out is None else e.target
-                raise GraphParseError(f"edge {e.name!r} references undeclared vertex {missing!r}")
-            out.append(e)
+            if edge_index.setdefault(n, i) != i:
+                raise GraphParseError(f"duplicate edge {n!r}")
+            if s not in vertex_index or t not in vertex_index:
+                missing = t if s in vertex_index else s
+                raise GraphParseError(f"edge {n!r} references undeclared vertex {missing!r}")
+        names, sources, targets = zip(*rows) if rows else ((), (), ())
+        self._index(vertex_index, edge_index, names, sources, targets)
+
+    def _index(
+        self,
+        vertex_index: dict[str, int],
+        edge_index: dict[str, int],
+        names: Sequence[str],
+        sources: Sequence[str],
+        targets: Sequence[str],
+    ) -> None:
+        """Set the int core and ``edges`` from checked names: ``self.vertices``
+        and the name-to-id maps are whole, and every endpoint is declared."""
+        self._vertex_index = vertex_index
+        self._edge_index = edge_index
+        self._src = src = list(map(vertex_index.__getitem__, sources))
+        self._dst = list(map(vertex_index.__getitem__, targets))
+        self._out = out = [[] for _ in self.vertices]
+        for i, s in enumerate(src):
+            out[s].append(i)
+        self.edges = tuple(map(Edge, names, sources, targets))
+        self._condensation: Condensation | None = None
 
     # -- basic lookups ----------------------------------------------------
 
@@ -228,10 +287,7 @@ class DirectedGraph:
             raise PathError(f"unknown vertex {v!r}") from None
 
     def edge(self, name: str) -> Edge:
-        try:
-            return self.edges[self._edge_index[name]]
-        except KeyError:
-            raise PathError(f"unknown edge {name!r}") from None
+        return self.edges[self.edge_index(name)]
 
     def edge_index(self, name: str) -> int:
         try:
@@ -240,27 +296,22 @@ class DirectedGraph:
             raise PathError(f"unknown edge {name!r}") from None
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
-        try:
-            return tuple(self._out[v])
-        except KeyError:
-            raise PathError(f"unknown vertex {v!r}") from None
+        return tuple(map(self.edges.__getitem__, self._out[self.vertex_index(v)]))
 
     def in_edges(self, v: str) -> tuple[Edge, ...]:
-        self.vertex_index(v)
-        return tuple(e for e in self.edges if e.target == v)
+        vi = self.vertex_index(v)
+        return tuple(e for e, t in zip(self.edges, self._dst) if t == vi)
 
     def loops_at(self, v: str) -> tuple[Edge, ...]:
-        try:
-            return tuple(e for e in self._out[v] if e.target == v)
-        except KeyError:
-            raise PathError(f"unknown vertex {v!r}") from None
+        vi = self.vertex_index(v)
+        return tuple(self.edges[i] for i in self._out[vi] if self._dst[i] == vi)
 
     def sinks(self) -> tuple[str, ...]:
-        return tuple(v for v in self.vertices if not self._out[v])
+        return tuple(v for v, out in zip(self.vertices, self._out) if not out)
 
     def sources(self) -> tuple[str, ...]:
-        targets = {e.target for e in self.edges}
-        return tuple(v for v in self.vertices if v not in targets)
+        targets = set(self._dst)
+        return tuple(v for i, v in enumerate(self.vertices) if i not in targets)
 
     # -- identity ----------------------------------------------------------
 
@@ -268,7 +319,7 @@ class DirectedGraph:
         return (self.vertices, self.edges)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, DirectedGraph) and self._key() == other._key()
+        return other is self or (isinstance(other, DirectedGraph) and self._key() == other._key())
 
     def __hash__(self) -> int:
         return hash(self._key())
@@ -292,14 +343,25 @@ class DirectedGraph:
         if not edge_names:
             raise PathError("a positive-length path needs at least one edge; "
                             "use vertex_path for length zero")
-        walked = [self.edge(n) for n in edge_names]
-        for a, b in zip(walked, walked[1:]):
-            if a.target != b.source:
+        first, last = self._walk(edge_names)
+        return Path(self.vertices[first], self.vertices[last], tuple(reversed(edge_names)))
+
+    def _walk(self, edge_names: Iterable[str]) -> tuple[int, int]:
+        """Source and target ids of a nonempty walk given by edge names in
+        walking order; an unknown name or a gap raises ``PathError``."""
+        try:
+            ids = list(map(self._edge_index.__getitem__, edge_names))
+        except KeyError as exc:
+            raise PathError(f"unknown edge {exc.args[0]!r}") from None
+        src, dst = self._src, self._dst
+        for a, b in zip(ids, ids[1:]):
+            if dst[a] != src[b]:
+                a, b = self.edges[a], self.edges[b]
                 raise PathError(
                     f"edges {a.name!r} and {b.name!r} do not compose: "
                     f"{a.name!r} ends at {a.target!r} but {b.name!r} starts at {b.source!r}"
                 )
-        return Path(walked[0].source, walked[-1].target, tuple(reversed(edge_names)))
+        return src[ids[0]], dst[ids[-1]]
 
     def validate_path(self, p: Path) -> Path:
         """Check a path against this graph; returns it unchanged."""
@@ -308,8 +370,8 @@ class DirectedGraph:
             if p.source != p.target:
                 raise PathError(f"vertex path with mismatched endpoints: {p!r}")
             return p
-        rebuilt = self.path_from_traversal(p.traversal)
-        if (rebuilt.source, rebuilt.target) != (p.source, p.target):
+        first, last = self._walk(reversed(p.edges))
+        if (self.vertices[first], self.vertices[last]) != (p.source, p.target):
             raise PathError(f"path endpoints disagree with its edges: {p!r}")
         return p
 
@@ -320,7 +382,7 @@ class DirectedGraph:
         if p.is_vertex:
             return (0, (self.vertex_index(p.source),))
         try:
-            return (p.length, tuple(self._edge_index[n] for n in p.traversal))
+            return (len(p.edges), tuple(map(self._edge_index.__getitem__, reversed(p.edges))))
         except KeyError as exc:
             raise PathError(f"unknown edge {exc.args[0]!r}") from None
 
@@ -391,50 +453,81 @@ def parse_graph(text: str) -> DirectedGraph:
     comments starting with ``#`` (trailing comments allowed).  Errors carry
     1-based line numbers.
     """
+    lines = text.splitlines()
     vertices: list[str] = []
-    edge_rows: list[tuple[int, str, str, str]] = []
-    seen_v: dict[str, int] = {}
-    seen_e: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "vertex" and len(parts) == 2:
-            name = parts[1]
-            if name in seen_v:
+    vertex_index: dict[str, int] = {}
+    names: list[str] = []
+    sources: list[str] = []
+    targets: list[str] = []
+    edge_index: dict[str, int] = {}
+    for lineno, raw in enumerate(lines, start=1):
+        if "#" in raw:
+            raw = raw[: raw.index("#")]
+        parts = raw.split()
+        if len(parts) == 4 and parts[0] == "edge":
+            _, name, src, dst = parts
+            if edge_index.setdefault(name, len(names)) != len(names):
+                first = _declaring_line(lines, parts)
                 raise GraphParseError(
-                    f"duplicate vertex {name!r} (first declared on line {seen_v[name]})",
-                    line=lineno,
+                    f"duplicate edge {name!r} (first declared on line {first})", line=lineno
                 )
-            seen_v[name] = lineno
+            names.append(name)
+            sources.append(src)
+            targets.append(dst)
+        elif len(parts) == 2 and parts[0] == "vertex":
+            name = parts[1]
+            if vertex_index.setdefault(name, len(vertices)) != len(vertices):
+                first = _declaring_line(lines, parts)
+                raise GraphParseError(
+                    f"duplicate vertex {name!r} (first declared on line {first})", line=lineno
+                )
             vertices.append(name)
-        elif parts[0] == "edge" and len(parts) == 4:
-            name = parts[1]
-            if name in seen_e:
-                raise GraphParseError(
-                    f"duplicate edge {name!r} (first declared on line {seen_e[name]})",
-                    line=lineno,
-                )
-            seen_e[name] = lineno
-            edge_rows.append((lineno, name, parts[2], parts[3]))
-        else:
+        elif parts:
             raise GraphParseError(
-                f"expected 'vertex <name>' or 'edge <name> <src> <dst>', got {line!r}",
+                f"expected 'vertex <name>' or 'edge <name> <src> <dst>', got {raw.strip()!r}",
                 line=lineno,
             )
-    for lineno, name, src, dst in edge_rows:
+    for name, src, dst in zip(names, sources, targets):
         for endpoint in (src, dst):
-            if endpoint not in seen_v:
+            if endpoint not in vertex_index:
                 raise GraphParseError(
                     f"edge {name!r} references undeclared vertex {endpoint!r}",
-                    line=lineno,
+                    line=_declaring_line(lines, ["edge", name, src, dst]),
                 )
-    return DirectedGraph(vertices, [(n, s, t) for (_, n, s, t) in edge_rows])
+    # The checks above are the constructor's, with line numbers.  The lines
+    # go before the edges are built, which keeps the peak memory down.
+    del lines
+    g = DirectedGraph.__new__(DirectedGraph)
+    g.vertices = tuple(vertices)
+    g._index(vertex_index, edge_index, names, sources, targets)
+    return g
+
+
+def _declaring_line(lines: list[str], parts: list[str]) -> int:
+    """The number of the first line that declares the vertex or edge of
+    ``parts`` (its words), for error messages; line numbers are kept only
+    here, so a graph's build stores none."""
+    kind, name = parts[:2]
+    return next(
+        lineno
+        for lineno, raw in enumerate(lines, start=1)
+        if len(words := raw.partition("#")[0].split()) == len(parts) and words[:2] == [kind, name]
+    )
 
 
 def format_graph(g: DirectedGraph) -> str:
-    """Serialize a graph back to the text format (inverse of parse_graph)."""
+    """Serialize a graph back to the text format (inverse of parse_graph).
+
+    The format splits lines on whitespace and cuts them at ``#``, so a name
+    holding either cannot be written; the first such name, vertices before
+    edges, raises ``GraphParseError``."""
+    for kind, names in (("vertex", g.vertices), ("edge", [e.name for e in g.edges])):
+        for name in names:
+            if "#" in name or name.split() != [name]:
+                raise GraphParseError(
+                    f"{kind} name {name!r} holds whitespace or '#', "
+                    "which the graph text format cannot carry"
+                )
     lines = [f"vertex {v}" for v in g.vertices]
     lines += [f"edge {e.name} {e.source} {e.target}" for e in g.edges]
     return "\n".join(lines) + "\n"
@@ -481,105 +574,121 @@ def condensation(g: DirectedGraph) -> Condensation:
     Components are ordered by their first-declared vertex; the classification
     per component is Trivial (one vertex, no loop), Cycle (a single directed
     cycle), or StronglyTransitive (everything else).  Computed once per
-    graph, in time linear in its size.
+    graph, in time linear in its size: Tarjan's search over the graph's
+    vertex and edge ids, one pass over the vertices in declaration order that
+    numbers the components, and one pass over the edges that splits them into
+    internal and quotient edges.  No ``sorted`` or ``min`` orders the
+    components, and no name is looked up.  The result keeps that int core,
+    which ``classify`` reads, and builds ``components`` and
+    ``vertex_component`` when first read.
     """
     if g._condensation is not None:
         return g._condensation
     n = len(g.vertices)
-    succ_of = [[g._vertex_index[e.target] for e in g._out[v]] for v in g.vertices]
-    order = [0] * n          # discovery index, 0 = unvisited (we offset by 1)
+    out, src, dst = g._out, g._src, g._dst
+    order = [0] * n          # discovery number, 0 = unvisited
     low = [0] * n
-    on_stack = [False] * n
+    # Tarjan's id of each vertex's component, -1 until it is emitted: a
+    # visited vertex is on the stack exactly while its id is -1.  Tarjan
+    # emits each component after every component it reaches, so these ids
+    # run in reverse topological order.
+    emitted = [-1] * n
+    count = 0
     stack: list[int] = []
+    popped: list[int] = []
     counter = 1
-    # Tarjan emits each component after every component it reaches, so
-    # ``emitted`` is in reverse topological order.
-    emitted: list[list[int]] = []
 
-    # Tarjan, iterative.  Work items are (vertex, iterator over successors).
+    # Tarjan, iterative.  Work items are (vertex, iterator over out-edge ids).
     for root in range(n):
         if order[root]:
             continue
-        work: list[tuple[int, Iterator[int]]] = []
         order[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = True
-        work.append((root, iter(succ_of[root])))
+        work: list[tuple[int, Iterator[int]]] = [(root, iter(out[root]))]
         while work:
             v, it = work[-1]
-            advanced = False
-            for w in it:
+            for e in it:
+                w = dst[e]
                 if not order[w]:
                     order[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(succ_of[w])))
-                    advanced = True
+                    work.append((w, iter(out[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], order[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == order[v]:
-                members = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    members.append(w)
-                    if w == v:
-                        break
-                emitted.append(members)
+                if emitted[w] < 0 and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == order[v]:
+                    while True:
+                        w = stack.pop()
+                        emitted[w] = count
+                        popped.append(w)
+                        if w == v:
+                            break
+                    count += 1
 
-    # Deterministic order: by smallest declaration index of a member vertex.
-    by_first = sorted(range(len(emitted)), key=lambda k: min(emitted[k]))
-    comp_of_emitted = [0] * len(emitted)
-    vertex_component: dict[str, int] = {}
-    for ci, k in enumerate(by_first):
-        comp_of_emitted[k] = ci
-        for vi in emitted[k]:
-            vertex_component[g.vertices[vi]] = ci
+    # Number the components by first-declared member: a vertex whose
+    # component has no number yet opens the next one.
+    number = [-1] * count
+    component = emitted  # renumbered in place, each entry after its last read
+    members: list[list[int]] = []
+    for v in range(n):
+        k = emitted[v]
+        i = number[k]
+        if i < 0:
+            i = number[k] = len(members)
+            members.append([v])
+        else:
+            members[i].append(v)
+        component[v] = i
 
-    internal: list[list[str]] = [[] for _ in emitted]
-    succ: list[set[int]] = [set() for _ in emitted]
-    crossing: list[Edge] = []
-    for e in g.edges:
-        cs = vertex_component[e.source]
-        ct = vertex_component[e.target]
+    internal: list[list[int]] = [[] for _ in members]
+    succ: list[set[int]] = [set() for _ in members]
+    crossing: list[int] = []
+    for e, (s, t) in enumerate(zip(src, dst)):
+        cs = component[s]
+        ct = component[t]
         if cs == ct:
-            internal[cs].append(e.name)
+            internal[cs].append(e)
         else:
             crossing.append(e)
             succ[cs].add(ct)
 
-    components = []
-    for ci, k in enumerate(by_first):
-        verts = tuple(g.vertices[vi] for vi in sorted(emitted[k]))
-        internal_edges = tuple(internal[ci])
-        # In a nontrivial component every vertex has an internal in- and
-        # out-edge, so it is a single cycle exactly when it has no others.
-        if len(verts) == 1 and not internal_edges:
-            cls = ComponentClass.TRIVIAL
-        elif len(internal_edges) == len(verts):
-            cls = ComponentClass.CYCLE
-        else:
-            cls = ComponentClass.STRONGLY_TRANSITIVE
-        components.append(Component(ci, verts, internal_edges, cls))
+    # In a nontrivial component every vertex has an internal in- and
+    # out-edge, so it is a single cycle exactly when it has no others.
+    classes = [
+        ComponentClass.TRIVIAL if len(vs) == 1 and not es
+        else ComponentClass.CYCLE if len(es) == len(vs)
+        else ComponentClass.STRONGLY_TRANSITIVE
+        for vs, es in zip(members, internal)
+    ]
+    topological_order = number[::-1]
+    rank = [0] * count
+    for r, i in enumerate(topological_order):
+        rank[i] = r
 
-    g._condensation = Condensation(
-        components=tuple(components),
-        vertex_component=MappingProxyType(vertex_component),
-        quotient_edges=tuple(crossing),
-        topological_order=tuple(reversed(comp_of_emitted)),
-        successors=tuple(tuple(sorted(s)) for s in succ),
-        rank=tuple(len(emitted) - 1 - k for k in by_first),
+    cond = object.__new__(Condensation)
+    cond.__dict__.update(
+        quotient_edges=tuple(map(g.edges.__getitem__, crossing)),
+        topological_order=tuple(topological_order),
+        successors=tuple([tuple(sorted(s)) if s else () for s in succ]),
+        rank=tuple(rank),
+        _vertices=g.vertices,
+        _edges=g.edges,
+        _component=component,
+        _popped=popped,
+        _members=members,
+        _internal=internal,
+        _classes=classes,
     )
-    return g._condensation
+    g._condensation = cond
+    return cond
 
 
 def is_transitive_in_components(g: DirectedGraph) -> bool:
@@ -591,7 +700,8 @@ def is_transitive_in_components(g: DirectedGraph) -> bool:
 def reaches(g: DirectedGraph, x: str, y: str) -> bool:
     """Reflexive reachability: is there a (possibly trivial) path x → y?"""
     cond = condensation(g)
-    return cond.component_reaches(cond.component_of(x).index, cond.component_of(y).index)
+    comp = cond._component
+    return cond.component_reaches(comp[g.vertex_index(x)], comp[g.vertex_index(y)])
 
 
 # -- cycles --------------------------------------------------------------------
@@ -623,26 +733,26 @@ def _bfs_shortest_lex(g: DirectedGraph, start: str, goal: str) -> list[str] | No
     unreachable.  A trivial path (start == goal) is the empty list."""
     if start == goal:
         return []
-    parent: dict[str, tuple[str, str]] = {}  # vertex -> (previous vertex, edge name)
-    seen = {start}
-    frontier = deque([start])
+    src, dst, out = g._src, g._dst, g._out
+    goal_id = g._vertex_index.get(goal)
+    begin = g.vertex_index(start)
+    into = {begin: -1}  # vertex id -> id of the edge the search entered it by
+    frontier = deque([begin])
     while frontier:
-        v = frontier.popleft()
-        for e in g.out_edges(v):
-            if e.target in seen:
+        for e in out[frontier.popleft()]:
+            w = dst[e]
+            if w in into:
                 continue
-            seen.add(e.target)
-            parent[e.target] = (v, e.name)
-            if e.target == goal:
-                names: list[str] = []
-                cur = goal
-                while cur != start:
-                    prev, name = parent[cur]
-                    names.append(name)
-                    cur = prev
-                names.reverse()
-                return names
-            frontier.append(e.target)
+            into[w] = e
+            if w == goal_id:
+                walked: list[str] = []
+                while w != begin:
+                    e = into[w]
+                    walked.append(g.edges[e].name)
+                    w = src[e]
+                walked.reverse()
+                return walked
+            frontier.append(w)
     return None
 
 
@@ -671,23 +781,24 @@ def decompose_path(g: DirectedGraph, w: Path) -> PathDecomposition:
     component-crossing edges; segments in walking order, one more segment
     than crossing edge (vertex segments fill the gaps)."""
     g.validate_path(w)
-    comp = condensation(g).vertex_component
+    comp = condensation(g)._component
+    src, dst, index, vertices = g._src, g._dst, g._edge_index, g.vertices
     segments: list[Path] = []
     crossing: list[str] = []
     current: list[str] = []     # traversal-order edge names of the open segment
-    seg_start = cursor = w.source
+    seg_start = cursor = g._vertex_index[w.source]
     # ``w`` has been checked, so its segments are paths of ``g`` as they stand.
     for name in w.traversal:
-        e = g.edge(name)
-        if comp[e.source] == comp[e.target]:
+        e = index[name]
+        if comp[src[e]] == comp[dst[e]]:
             current.append(name)
         else:
-            segments.append(Path(seg_start, cursor, tuple(reversed(current))))
+            segments.append(Path(vertices[seg_start], vertices[cursor], tuple(reversed(current))))
             crossing.append(name)
             current = []
-            seg_start = e.target
-        cursor = e.target
-    segments.append(Path(seg_start, cursor, tuple(reversed(current))))
+            seg_start = dst[e]
+        cursor = dst[e]
+    segments.append(Path(vertices[seg_start], vertices[cursor], tuple(reversed(current))))
     return PathDecomposition(tuple(segments), tuple(crossing))
 
 
@@ -706,7 +817,7 @@ def _path_count(
     for v in starts:
         ends[g.vertex_index(v)] += 1
     count, length = len(starts), 0
-    arrows = [(g._vertex_index[e.source], g._vertex_index[e.target]) for e in g.edges]
+    arrows = list(zip(g._src, g._dst))
     while length < min(max_len, cap) and any(ends) and count <= cap**2:
         grown = [0] * len(ends)
         for s, t in arrows:
@@ -733,11 +844,13 @@ def _levels(
     Each level is counted before it is built, and ``LimitError`` is raised,
     naming the count and the ``setting`` that caps it, before the paths so
     far would pass ``max_paths``."""
+    # The edges out of each vertex, by name: each path meets its end by name.
+    out = {v: [g.edges[e] for e in ids] for v, ids in zip(g.vertices, g._out)}
     level: list[Path] = []
     produced = 0
     for length in range(max_len + 1):
         # Every path of the last level extends by each edge out of its end.
-        size = sum(len(g._out[p.target]) for p in level) if length else len(starts)
+        size = sum(len(out[p.target]) for p in level) if length else len(starts)
         produced += size
         if max_paths is not None and produced > max_paths:
             raise LimitError(
@@ -752,7 +865,7 @@ def _levels(
             level = [
                 Path(p.source, e.target, (e.name,) + p.edges)
                 for p in level
-                for e in g._out[p.target]
+                for e in out[p.target]
             ]
             if length == 1:
                 # One-edge paths sort by edge index, whatever their start;

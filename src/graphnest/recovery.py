@@ -332,8 +332,8 @@ def is_in_radical(g: DirectedGraph, a: FormalElement) -> bool:
     The zero element is a member.
     """
     _check_same_graph(g, a)
-    comp = condensation(g).vertex_component
-    return all(comp[p.source] != comp[p.target] for p in a.support)
+    comp, index = condensation(g)._component, g._vertex_index
+    return all(comp[index[p.source]] != comp[index[p.target]] for p in a.support)
 
 
 def radical_edge_generators(g: DirectedGraph) -> tuple[str, ...]:

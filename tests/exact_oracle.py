@@ -33,12 +33,20 @@ which the package writes from its monomial storage instead.
 by length the way the package did before it had one enumerator: the Fock
 basis vertex by vertex with one final sort, and the free words of the
 naturally ordered nest by a walk of their own that sorts each length.
+
+``condensation_by_names`` is the condensation the way the package computed
+it before its graphs had an int core: Tarjan over successor lists read from
+the ``Edge`` objects, components renumbered by sorting on their least
+member, and every ``Component`` built at once.  ``parse_graph_by_lines`` is
+the parser of that time, which kept each name's line number as it went and
+handed the checked names to ``DirectedGraph``.
 """
 
 import cmath
 import itertools
 import math
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -307,6 +315,143 @@ def n_nest_case_by_chain_walk(g):
     if not nontrivial and _chain_order(g, set(g.vertices)) is not None:
         return "None", True
     return "None", False
+
+
+def condensation_by_names(g):
+    """The condensation of ``g`` through the public API, with eager
+    ``Component`` objects; see the module docstring."""
+    n = len(g.vertices)
+    succ_of = [[g.vertex_index(e.target) for e in g.out_edges(v)] for v in g.vertices]
+    order = [0] * n          # discovery index, 0 = unvisited
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    counter = 1
+    emitted = []             # components in reverse topological order
+
+    for root in range(n):
+        if order[root]:
+            continue
+        order[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ_of[root]))]
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if not order[w]:
+                    order[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ_of[w])))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], order[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == order[v]:
+                members = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    members.append(w)
+                    if w == v:
+                        break
+                emitted.append(members)
+
+    by_first = sorted(range(len(emitted)), key=lambda k: min(emitted[k]))
+    comp_of_emitted = [0] * len(emitted)
+    vertex_component = {}
+    for ci, k in enumerate(by_first):
+        comp_of_emitted[k] = ci
+        for vi in emitted[k]:
+            vertex_component[g.vertices[vi]] = ci
+
+    internal = [[] for _ in emitted]
+    succ = [set() for _ in emitted]
+    crossing = []
+    for e in g.edges:
+        cs = vertex_component[e.source]
+        ct = vertex_component[e.target]
+        if cs == ct:
+            internal[cs].append(e.name)
+        else:
+            crossing.append(e)
+            succ[cs].add(ct)
+
+    components = []
+    for ci, k in enumerate(by_first):
+        verts = tuple(g.vertices[vi] for vi in sorted(emitted[k]))
+        internal_edges = tuple(internal[ci])
+        if len(verts) == 1 and not internal_edges:
+            cls = gn.ComponentClass.TRIVIAL
+        elif len(internal_edges) == len(verts):
+            cls = gn.ComponentClass.CYCLE
+        else:
+            cls = gn.ComponentClass.STRONGLY_TRANSITIVE
+        components.append(gn.Component(ci, verts, internal_edges, cls))
+
+    return gn.Condensation(
+        components=tuple(components),
+        vertex_component=MappingProxyType(vertex_component),
+        quotient_edges=tuple(crossing),
+        topological_order=tuple(reversed(comp_of_emitted)),
+        successors=tuple(tuple(sorted(s)) for s in succ),
+        rank=tuple(len(emitted) - 1 - k for k in by_first),
+    )
+
+
+def parse_graph_by_lines(text):
+    """The graph of ``text``, or the ``GraphParseError`` of its first fault;
+    see the module docstring."""
+    vertices = []
+    edge_rows = []
+    seen_v = {}
+    seen_e = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "vertex" and len(parts) == 2:
+            name = parts[1]
+            if name in seen_v:
+                raise gn.GraphParseError(
+                    f"duplicate vertex {name!r} (first declared on line {seen_v[name]})",
+                    line=lineno,
+                )
+            seen_v[name] = lineno
+            vertices.append(name)
+        elif parts[0] == "edge" and len(parts) == 4:
+            name = parts[1]
+            if name in seen_e:
+                raise gn.GraphParseError(
+                    f"duplicate edge {name!r} (first declared on line {seen_e[name]})",
+                    line=lineno,
+                )
+            seen_e[name] = lineno
+            edge_rows.append((lineno, name, parts[2], parts[3]))
+        else:
+            raise gn.GraphParseError(
+                f"expected 'vertex <name>' or 'edge <name> <src> <dst>', got {line!r}",
+                line=lineno,
+            )
+    for lineno, name, src, dst in edge_rows:
+        for endpoint in (src, dst):
+            if endpoint not in seen_v:
+                raise gn.GraphParseError(
+                    f"edge {name!r} references undeclared vertex {endpoint!r}",
+                    line=lineno,
+                )
+    return gn.DirectedGraph(vertices, [(n, s, t) for (_, n, s, t) in edge_rows])
 
 
 def component_by_definition(g, table, x):

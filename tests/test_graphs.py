@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import graphnest as gn
 from conftest import GRAPH_TEXTS, make_graph, random_graph, random_walk
-from exact_oracle import bfs_reachable
+from exact_oracle import bfs_reachable, parse_graph_by_lines
 
 
 # -- parsing and serialization ----------------------------------------------------
@@ -17,6 +17,48 @@ def test_parse_round_trip_through_format():
     for name, text in GRAPH_TEXTS.items():
         g = gn.parse_graph(text)
         assert gn.parse_graph(gn.format_graph(g)) == g, name
+
+
+def test_equal_graphs_parsed_apart_compare_and_hash_equal():
+    text = GRAPH_TEXTS["scc_chain"]
+    g, h = gn.parse_graph(text), gn.parse_graph(text)
+    assert g is not h and g == h and hash(g) == hash(h)
+    assert g == g and not g != g
+    assert g != gn.parse_graph(text + "vertex extra\n")
+    assert g != gn.parse_graph(text.replace("edge h z u", "edge h u z"))
+
+
+def test_format_graph_rejects_names_the_text_cannot_carry():
+    g = gn.DirectedGraph(["v", "w#x"], [("a", "v", "w#x")])
+    with pytest.raises(gn.GraphParseError, match="vertex name 'w#x'"):
+        gn.format_graph(g)
+    g = gn.DirectedGraph(["v"], [("a b", "v", "v")])
+    with pytest.raises(gn.GraphParseError, match="edge name 'a b'"):
+        gn.format_graph(g)
+
+
+@st.composite
+def graphs_with_odd_names(draw):
+    """Graphs whose names may hold whitespace (line breaks included) or "#"."""
+    names = st.text(alphabet="ab# \t\n\x1c\u2028", min_size=1, max_size=3)
+    vertices = draw(st.lists(names, min_size=1, max_size=4, unique=True))
+    ends = st.sampled_from(vertices)
+    edges = draw(st.lists(st.tuples(names, ends, ends), max_size=4, unique_by=lambda e: e[0]))
+    return gn.DirectedGraph(vertices, edges)
+
+
+@settings(deadline=None, max_examples=200)
+@given(graphs_with_odd_names())
+def test_format_graph_round_trips_or_names_the_first_bad_name(g):
+    names = [("vertex", v) for v in g.vertices] + [("edge", e.name) for e in g.edges]
+    bad = [(kind, n) for kind, n in names if "#" in n or n.split() != [n]]
+    if not bad:
+        assert gn.parse_graph(gn.format_graph(g)) == g
+        return
+    with pytest.raises(gn.GraphParseError) as info:
+        gn.format_graph(g)
+    kind, name = bad[0]
+    assert str(info.value).startswith(f"{kind} name {name!r} ")
 
 
 def test_parse_accepts_comments_and_blanks():
@@ -38,6 +80,34 @@ def test_parse_accepts_comments_and_blanks():
 def test_parse_errors_carry_line_context(text, fragment):
     with pytest.raises(gn.GraphParseError, match=fragment):
         gn.parse_graph(text)
+
+
+@st.composite
+def graph_texts(draw):
+    """Texts of vertex and edge lines over small alphabets, where "q" is
+    never declared, with blank, comment and malformed lines mixed in."""
+    vertex_names = st.sampled_from(["u", "v", "w"])
+    ends = st.sampled_from(["u", "v", "w", "q"])
+    lines = st.one_of(
+        st.builds("vertex {}".format, vertex_names),
+        st.builds("edge {} {} {}".format, st.sampled_from(["a", "b", "c"]), ends, ends),
+        st.sampled_from(["", "  ", "# note", "vertex", "vertex u v", "edge a u", "node u"]),
+    )
+    comments = st.sampled_from(["", " # note", "#", "\t"])
+    rows = draw(st.lists(st.tuples(lines, comments), max_size=10))
+    return "\n".join(line + comment for line, comment in rows)
+
+
+@settings(deadline=None, max_examples=300)
+@given(graph_texts())
+def test_parse_graph_agrees_with_the_line_by_line_parser(text):
+    def outcome(parse):
+        try:
+            return parse(text)
+        except gn.GraphParseError as exc:
+            return str(exc)
+
+    assert outcome(gn.parse_graph) == outcome(parse_graph_by_lines)
 
 
 def test_graph_json_round_trip():

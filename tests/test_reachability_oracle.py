@@ -7,16 +7,20 @@ vertices are declared in shuffled order, so component indices (ordered by
 first-declared vertex) disagree with the topological order.
 """
 
+import hashlib
+import json
 import random
 import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import graphnest as gn
-from conftest import random_graph, random_walk
+from conftest import GRAPH_TEXTS, random_graph, random_walk
 from exact_oracle import (
     component_by_definition,
+    condensation_by_names,
     faithful_nest_by_pairs,
     n_nest_case_by_chain_walk,
     reach_table,
@@ -262,3 +266,74 @@ def test_condensation_memory_grows_linearly():
     # pair of components, took 23 MB at 10^4 and grew 3.1x to 2*10^4
     assert small < 15e6
     assert large < 2.1 * small
+
+
+# -- the int core against the name-keyed reference ------------------------------------
+
+CONDENSATION_FIELDS = (
+    "components", "vertex_component", "quotient_edges",
+    "topological_order", "successors", "rank",
+)
+
+
+def _check_against_reference(g):
+    got, want = gn.condensation(g), condensation_by_names(g)
+    for name in CONDENSATION_FIELDS:
+        assert getattr(got, name) == getattr(want, name), name
+        assert type(getattr(got, name)) is type(getattr(want, name)), name
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    # classify reads its component list off the int core, not the objects
+    assert gn.classify(g).to_json()["graph"]["components"] == [
+        {"vertices": list(c.vertices), "class": c.component_class.value,
+         "loop_multiplicity": c.loop_multiplicity}
+        for c in want.components
+    ]
+
+
+@st.composite
+def shuffled_graphs(draw):
+    """Random multigraphs with loops and parallel edges, their vertices and
+    edges declared in a shuffled order."""
+    n = draw(st.integers(1, 12))
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=30))
+    vertices = draw(st.permutations([f"v{i}" for i in range(n)]))
+    edges = draw(st.permutations([(f"e{k}", f"v{s}", f"v{t}") for k, (s, t) in enumerate(pairs)]))
+    return gn.DirectedGraph(vertices, edges)
+
+
+@settings(deadline=None, max_examples=300)
+@given(shuffled_graphs())
+def test_condensation_agrees_with_the_name_keyed_reference(g):
+    _check_against_reference(g)
+
+
+def test_condensation_agrees_with_the_reference_on_planted_chains():
+    rng = random.Random(1972)
+    for trial in range(24):
+        g = planted_chain(rng, rng.randint(66, 130), linked=trial % 4 != 3)
+        _check_against_reference(g)
+
+
+def test_no_condensation_outlives_its_graph():
+    text = gn.format_graph(planted_chain(random.Random(5), 70))
+    first, second = (gn.condensation(gn.parse_graph(text)) for _ in range(2))
+    assert first is not second
+    assert first == second
+
+
+CLASSIFY_JSON_SHA256 = "d61a2008ce3887216ca40746859ae7de685182a1e49923cd48fe6a6e5b0bd3bf"
+
+
+def test_classify_json_over_the_oracle_graphs_is_unchanged():
+    """The corpus, 300 random graphs, 24 planted chains and 100 planted
+    cores with chains: the sha256 of their classification JSON, as written
+    before the graphs had an int core."""
+    rng = random.Random(1972)
+    graphs = [gn.parse_graph(text) for text in GRAPH_TEXTS.values()]
+    graphs += [random_graph(random.Random(2024 + k)) for k in range(300)]
+    graphs += [planted_chain(rng, rng.randint(66, 130), linked=k % 4 != 3) for k in range(24)]
+    graphs += [planted_core_chain(rng) for _ in range(100)]
+    reports = json.dumps([gn.classify(g).to_json() for g in graphs], sort_keys=True)
+    assert hashlib.sha256(reports.encode()).hexdigest() == CLASSIFY_JSON_SHA256
+
