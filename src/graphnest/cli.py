@@ -21,11 +21,13 @@ a kind that does not read it (``REP_FLAG_KINDS``) exits 2 with "--FLAG
 applies only to rep KINDS".  Relation verdicts use ``linalg.NORM_TOL``.
 
 Each command returns its JSON payload and a function rendering its text
-report; ``main`` writes one of the two to stdout.  ``rep`` builds its
-payload, every image a dense matrix, only for ``--json`` or ``--emit``.
-``--json`` and ``--emit FILE`` write compact JSON: one line, keys sorted,
-ending in a newline, with ``schema_version`` 1.  Pipe it through
-``python3 -m json.tool`` to read it.
+report; ``main`` writes one of the two to stdout.  A representation in a
+payload is written from its storage by ``reps.rep_to_json_text``, byte for
+byte the json.dumps text of ``rep_to_json``, every image a dense matrix;
+the text report writes none.  ``--json`` and ``--emit FILE`` write
+compact JSON: one line, keys sorted, ending in a newline, with
+``schema_version`` 1.  Pipe it through ``python3 -m json.tool`` to read
+it.
 
 Unit-modulus parameters are written as fractions of a full turn:
 ``--lambda-arg 0.25`` means e^{2πi·0.25} = i.  Path arguments list edge names
@@ -71,7 +73,7 @@ from .reps import (
     n_nest_truncation,
     phi_cycle,
     psi_upper,
-    rep_to_json,
+    rep_to_json_text,
     rho_nest,
 )
 
@@ -158,12 +160,27 @@ def _parse_loop_choice(g: DirectedGraph, spec: str | None) -> dict[str, str] | N
 # -- output helpers ------------------------------------------------------------------
 
 
-def _dump_json(obj: dict) -> str:
-    payload = {"schema_version": SCHEMA_VERSION, **obj}
+def _encode(value) -> str:
     # Without ``indent`` json.dumps runs its C encoder.  Every payload is a
     # tree built fresh for this call, so nothing can cycle: the encoder need
     # not record each container it enters.
-    return json.dumps(payload, sort_keys=True, check_circular=False) + "\n"
+    return json.dumps(value, sort_keys=True, check_circular=False)
+
+
+def _dump_json(obj: dict) -> str:
+    """The payload as one line of JSON.  A ``representation`` entry holds a
+    ``FiniteRepresentation``, written as ``rep_to_json_text`` writes it; the
+    top level is then joined as json.dumps joins a dict's items."""
+    payload = {"schema_version": SCHEMA_VERSION, **obj}
+    rep = payload.get("representation")
+    if rep is None:
+        return _encode(payload) + "\n"
+    items = (
+        f"{json.dumps(key)}: "
+        + (rep_to_json_text(rep) if key == "representation" else _encode(payload[key]))
+        for key in sorted(payload)
+    )
+    return "{" + ", ".join(items) + "}\n"
 
 
 def _write_emit(path: str, obj: dict) -> None:
@@ -229,10 +246,7 @@ def _cmd_separate(args: argparse.Namespace):
     if args.emit:
         _write_emit(
             args.emit,
-            {
-                "graph": graph_to_json(g),
-                "representation": rep_to_json(witness.representation),
-            },
+            {"graph": graph_to_json(g), "representation": witness.representation},
         )
 
     def text() -> list[str]:
@@ -310,16 +324,13 @@ def _cmd_rep(args: argparse.Namespace):
     g = _load_graph(args.graph)
     rep, nest_blocks = _build_rep(args, g)
     relations = check_relations(rep)
-    payload = None
-    if args.json or args.emit:
-        # Every image goes out dense: the text report must not pay for that.
-        payload = {
-            "graph": graph_to_json(g),
-            "kind": args.kind,
-            "representation": rep_to_json(rep),
-            "nest_blocks": nest_blocks,
-            "relations": relations.to_json(),
-        }
+    payload = {
+        "graph": graph_to_json(g),
+        "kind": args.kind,
+        "representation": rep,
+        "nest_blocks": nest_blocks,
+        "relations": relations.to_json(),
+    }
     if args.emit:
         _write_emit(args.emit, payload)
 

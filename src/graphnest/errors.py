@@ -33,8 +33,8 @@ class PathError(GraphNestError):
 
 class LimitError(GraphNestError):
     """A size cap was exceeded (path enumeration length and count, Fock
-    basis size, free words, purity walk, recovery path length, separation
-    grid), or a separation witness entry fell below the normal doubles."""
+    basis size, free words, recovery path length, separation grid), or a
+    separation witness entry fell below the normal doubles."""
 
 
 class PreconditionError(GraphNestError):

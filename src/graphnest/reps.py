@@ -27,13 +27,15 @@ closed forms, and reads an element's pairing entry as an exact polynomial.
 from __future__ import annotations
 
 import cmath
+import json
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .classify import check_n_nest_case, ut_separating_condition
-from .errors import EmptyInputError, LimitError, PreconditionError
+from .errors import EmptyInputError, PreconditionError
 from .graphs import (
     DirectedGraph,
     Path,
@@ -51,9 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Modulus slack accepted when checking |λ| = 1 on constructor inputs.
 UNIT_MODULUS_TOL = 1e-12
-
-#: Cap on the number of (nonvanishing) paths ``purity_defect`` walks.
-MAX_DEFECT_PATHS = 100_000
 
 #: Cap on all the free words ``n_nest_truncation`` enumerates, of every
 #: length so far (the length-0 words count too), not on one length's words.
@@ -754,12 +753,21 @@ def check_relations(
     products through the complement still count.  Vertex projections never
     overlap; S_e^* S_f is a partial map (norm: its largest modulus) that
     vanishes unless e and f share a target; the other two are diagonal.
+    ``restrict_interior`` holds indices in range(k), else ``ValueError``
+    names the first outside it; the report's note counts distinct ones.
     """
     g, k, labels, live = rep.graph, rep.dimension, rep.labels, rep.rows >= 0
-    idx = range(k) if restrict_interior is None else list(restrict_interior)
-    note = None if restrict_interior is None else f"compressed to {len(idx)} of {k} coordinates"
-    kept = np.zeros(k, dtype=bool)
-    kept[idx] = True
+    kept, note = np.ones(k, dtype=bool), None
+    if restrict_interior is not None:
+        at = np.asarray(list(restrict_interior))
+        if at.size and at.dtype.kind not in "iu":
+            raise ValueError(f"restrict_interior holds {at.dtype} values, not indices")
+        outside = (at < 0) | (at >= k)
+        if outside.any():
+            raise ValueError(f"restrict_interior index {at[outside][0]} is outside range({k})")
+        kept[:] = False
+        kept[at.astype(np.intp)] = True
+        note = f"compressed to {np.count_nonzero(kept)} of {k} coordinates"
     squared = _squared(rep.weights)
     names, edge_names = list(g.vertices), [e.name for e in g.edges]
     ends = [g.edge(name) for name in rep.edge_names]
@@ -805,44 +813,25 @@ def check_relations(
 
 
 def purity_defect(rep: FiniteRepresentation, d: int) -> float:
-    """‖Σ over paths p of length d of ρ(p)ρ(p)^*‖.
+    """‖Σ over paths p of length d of ρ(p)ρ(p)^*‖, for an integer d ≥ 1
+    (``ValueError`` otherwise).
 
-    Walks the paths explicitly with incremental products of partial maps,
-    dropping exactly vanishing partial products; raises a limit error if
-    the surviving path count exceeds ``MAX_DEFECT_PATHS``.  The sum is diagonal.
+    The sum is Φ^d(I) with Φ(X) = Σ_e S_e X S_e^*: products of edges that
+    do not compose vanish by vertex covariance.  Each S_e is a weighted
+    partial permutation, so Φ sends diag(x) to the diagonal holding
+    |w|²·x[j] at row rows[e, j]: d bincounts over the stored nonzeros, in
+    O(d·nnz) time and O(k) memory.  The norm of that nonnegative diagonal
+    is its largest entry.
     """
-    if d < 1:
-        raise ValueError("depth must be ≥ 1")
-    g, m = rep.graph, len(rep.edge_names)
-    # A dead column appended to each map: row -1 indexes it, so products
-    # keep -1 and weight 0 there.
-    rows_of = np.hstack([rep.rows, np.full((m, 1), -1, dtype=np.intp)])
-    weights_of = np.hstack([rep.weights, np.zeros((m, 1), dtype=np.complex128)])
-    ends = [g.edge(name) for name in rep.edge_names]
-    out_of = [[i for i, e in enumerate(ends) if e.source == x] for x in g.vertices]
-    target_of = np.array([g.vertex_index(e.target) for e in ends], dtype=np.intp)
-    # The frontier: each surviving path's partial map and its end vertex.
-    rows, weights, at = rows_of, weights_of, target_of
-    for depth in range(2, d + 1):
-        pairs = [(p, i) for p, v in enumerate(at.tolist()) for i in out_of[v]]
-        path, edge = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-        # S_e·ρ(p): column j goes where ρ(p) sends it, then where e sends that.
-        via = rows[path]
-        rows = np.take_along_axis(rows_of[edge], via, axis=1)
-        weights = np.take_along_axis(weights_of[edge], via, axis=1) * weights[path]
-        live = (rows >= 0) & (weights != 0)
-        survive = live.any(axis=1)
-        count = np.count_nonzero(survive)
-        if count > MAX_DEFECT_PATHS:
-            raise LimitError(
-                f"purity walk at depth {depth} keeps {count} surviving paths, over "
-                f"the cap of {MAX_DEFECT_PATHS} paths set by reps.MAX_DEFECT_PATHS"
-            )
-        rows, weights = np.where(live, rows, -1)[survive], weights[survive]
-        at = target_of[edge[survive]]
-    acc = np.zeros(rep.dimension + 1)
-    np.add.at(acc, rows, _squared(weights))
-    return float(acc[:-1].max(initial=0.0))
+    if not isinstance(d, numbers.Integral) or d < 1:
+        raise ValueError(f"depth must be an integer ≥ 1, got {d!r}")
+    live = rep.rows >= 0
+    rows, cols = rep.rows[live], np.nonzero(live)[1]
+    squared = _squared(rep.weights[live])
+    x = np.ones(rep.dimension)
+    for _ in range(d):
+        x = np.bincount(rows, weights=squared * x[cols], minlength=rep.dimension)
+    return float(x.max(initial=0.0))
 
 
 def is_coisometric(rep: FiniteRepresentation) -> bool:
@@ -856,43 +845,91 @@ def is_coisometric(rep: FiniteRepresentation) -> bool:
 # -- JSON encoding -----------------------------------------------------------------
 
 
+def _image_cells(rep: FiniteRepresentation):
+    """Schema 1's layout: every vertex image, then every edge image, each
+    in sorted name order as its nonzero cells ``(row * k + col, re, im)``
+    in row-major order, read from the monomial storage: ``(1.0, 0.0)`` at
+    a vertex's positions, the stored weight's parts where an edge sends a
+    position."""
+    g, k = rep.graph, rep.dimension
+    positions: list[list[int]] = [[] for _ in g.vertices]
+    for col, x in enumerate(rep.labels.tolist()):
+        if x >= 0:
+            positions[x].append(col)
+    stored = {
+        name: sorted(
+            (row * k + col, w.real, w.imag)
+            for col, (row, w) in enumerate(zip(rows, weights))
+            if row >= 0
+        )
+        for name, rows, weights in zip(rep.edge_names, rep.rows.tolist(), rep.weights.tolist())
+    }
+    vertex_cells = {
+        x: [(col * (k + 1), 1.0, 0.0) for col in positions[g.vertex_index(x)]]
+        for x in sorted(g.vertices)
+    }
+    return vertex_cells, {e: stored.get(e, []) for e in sorted(g._edge_index)}
+
+
 def rep_to_json(rep: FiniteRepresentation) -> dict:
     """Schema 1: every vertex and edge image of the graph as the
     ``matrix_to_json`` object of its k×k matrix (row-major ``[re, im]``
     pairs), written from the monomial storage without building the matrix.
     Each image starts as one shared ``(0.0, 0.0)`` pair per cell, and only
-    its at most k nonzero cells are set: ``(1.0, 0.0)`` at a vertex's
-    positions, the stored weight's parts where an edge sends a position."""
-    g, k = rep.graph, rep.dimension
-    zero, one = (0.0, 0.0), (1.0, 0.0)
+    its at most k nonzero cells (``_image_cells``) are set."""
+    k = rep.dimension
+    zero = (0.0, 0.0)
 
     def image(cells) -> dict:
         entries = [zero] * (k * k)
-        for at, pair in cells:
-            entries[at] = pair
+        for at, re, im in cells:
+            entries[at] = (re, im)
         return {"rows": k, "cols": k, "entries": entries}
 
-    positions: list[list[int]] = [[] for _ in g.vertices]
-    for col, x in enumerate(rep.labels.tolist()):
-        if x >= 0:
-            positions[x].append(col)
-    edge_cells = {
-        name: [
-            (row * k + col, (w.real, w.imag))
-            for col, (row, w) in enumerate(zip(rows, weights))
-            if row >= 0
-        ]
-        for name, rows, weights in zip(rep.edge_names, rep.rows.tolist(), rep.weights.tolist())
-    }
+    vertex_cells, edge_cells = _image_cells(rep)
     return {
         "dimension": k,
         "orientation": rep.orientation,
-        "vertex_images": {
-            x: image((col * (k + 1), one) for col in positions[g.vertex_index(x)])
-            for x in sorted(g.vertices)
-        },
-        "edge_images": {e: image(edge_cells.get(e, ())) for e in sorted(g._edge_index)},
+        "vertex_images": {x: image(cells) for x, cells in vertex_cells.items()},
+        "edge_images": {e: image(cells) for e, cells in edge_cells.items()},
     }
+
+
+def rep_to_json_text(rep: FiniteRepresentation) -> str:
+    """``json.dumps(rep_to_json(rep), sort_keys=True)``, byte for byte,
+    written from the same cells without a pair per empty cell: a run of
+    empty cells is one pre-encoded ``[0.0, 0.0]`` repeated, a stored float
+    is its ``repr`` (what json's encoder writes for a finite float), and a
+    name is ``json.dumps`` of it.  The pieces are joined once, at the end:
+    each join of a multi-megabyte image would copy it again."""
+    k = rep.dimension
+    num = float.__repr__ if np.isfinite(rep.weights).all() else json.dumps
+    zero = "[0.0, 0.0]"
+    out = [f'{{"dimension": {k}, "edge_images": ']
+
+    def images(cells_by_name) -> None:
+        out.append("{")
+        for i, (name, cells) in enumerate(cells_by_name.items()):
+            out.append(f'{", " if i else ""}{json.dumps(name)}: {{"cols": {k}, "entries": [')
+            at = 0
+            for pos, re, im in cells:
+                out.append(f"{zero}, " * (pos - at))
+                out.append(f"[{num(re)}, {num(im)}], ")
+                at = pos + 1
+            if at < k * k:
+                out.append(f"{zero}, " * (k * k - at - 1))
+                out.append(zero)
+            elif cells:
+                out[-1] = out[-1][:-2]  # the last cell takes no separator
+            out.append(f'], "rows": {k}}}')
+        out.append("}")
+
+    vertex_cells, edge_cells = _image_cells(rep)
+    images(edge_cells)
+    out.append(f', "orientation": {json.dumps(rep.orientation)}, "vertex_images": ')
+    images(vertex_cells)
+    out.append("}")
+    return "".join(out)
 
 
 def rep_from_json(g: DirectedGraph, obj) -> FiniteRepresentation:

@@ -625,7 +625,10 @@ def test_rep_text_report_builds_no_json_payload(case, capsys, monkeypatch):
     def refuse(rep):
         raise AssertionError("the text report built the JSON payload")
 
-    monkeypatch.setattr(cli, "rep_to_json", refuse)
+    # neither the library payload nor the text writer, wherever it is named
+    monkeypatch.setattr(gn.reps, "rep_to_json", refuse)
+    monkeypatch.setattr(gn.reps, "rep_to_json_text", refuse)
+    monkeypatch.setattr(cli, "rep_to_json_text", refuse)
     argv, expected = TEXT_CASES[case]
     assert cli.main(list(argv)) == 0
     assert capsys.readouterr().out == expected

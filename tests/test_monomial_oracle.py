@@ -14,9 +14,12 @@ verdicts, and ``evaluate`` must agree within 1e-12: the dense products
 round complex products with fused multiply-adds, so they can differ from
 the walk in the last place.  Random weighted partial permutations built
 through the dense constructor, with weights past ½, go through the same
-comparison.  The schema-1 JSON that ``rep_to_json`` writes from the arrays
-must equal, byte for byte, the JSON of the dense views encoded entry by
-entry, and read back to the same representation.
+comparison.  The purity defect is compared at depths 1–6 up to dimension
+63, while the oracle's dense path walk stays within its path budget.  The
+schema-1 JSON that ``rep_to_json`` writes from the arrays must equal, byte
+for byte, the JSON of the dense views encoded entry by entry and the text
+``rep_to_json_text`` writes (also on graphs with names json must escape),
+and read back to the same representation.
 """
 
 import cmath
@@ -26,6 +29,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import graphnest as gn
 from conftest import GRAPH_TEXTS, make_graph, random_graph, random_nonzero_element, random_walk
@@ -42,6 +46,8 @@ from exact_oracle import (
 
 MAX_DIMENSION = 511
 CLOSE = 1e-12
+#: Surviving paths the dense purity oracle may walk per comparison.
+PURITY_ORACLE_PATHS = 10_000
 
 
 def _unit(rng):
@@ -161,8 +167,11 @@ def _compare(rng, g, label, rep, ps, ss, interior, whole=True):
 
     assert gn.is_coisometric(rep) == is_coisometric_dense(g, ss, k), where
     if k <= 63:
-        for d in (1, 2, 3):
-            want = purity_defect_dense(g, ss, k, d)
+        for d in range(1, 7):
+            try:
+                want = purity_defect_dense(g, ss, k, d, max_paths=PURITY_ORACLE_PATHS)
+            except gn.LimitError:
+                break  # past here only the path walk, not the diagonal power, grows
             assert _close(gn.purity_defect(rep, d), want), (where, d)
     for _ in range(2 if k <= 63 else 1):
         a = random_nonzero_element(rng, g, max_terms=6, max_degree=4)
@@ -244,6 +253,7 @@ def _check_json(g, rep):
     # repr tells -0.0 from 0.0, which == does not
     text = json.dumps(gn.rep_to_json(rep), sort_keys=True)
     assert text == json.dumps(rep_to_json_by_entries(rep), sort_keys=True), repr(rep)
+    assert gn.reps.rep_to_json_text(rep) == text, repr(rep)
     assert gn.rep_from_json(g, json.loads(text)) == rep, repr(rep)
 
 
@@ -270,3 +280,29 @@ def test_rep_json_is_the_dense_encoding_byte_for_byte_on_random_graphs():
         for case in _cases(rng, g, 1, 31):
             _check_json(g, case[1])
         _check_json(g, _random_monomial(rng, g)[0])
+
+
+#: Characters json.dumps escapes (quote, backslash, control and non-ASCII
+#: ones), a slash, which it does not, and any other character.
+ODD_CHARACTERS = st.one_of(st.sampled_from('"\\/\x00\x1f\n\t\x7f\u2028é😀'), st.characters())
+
+
+@st.composite
+def odd_named_graphs(draw):
+    names = st.text(ODD_CHARACTERS, min_size=1, max_size=3)
+    vertices = draw(st.lists(names, min_size=1, max_size=4, unique=True))
+    edge_names = draw(st.lists(names, max_size=7, unique=True))
+    ends = st.sampled_from(vertices)
+    return gn.DirectedGraph(vertices, [(e, draw(ends), draw(ends)) for e in edge_names])
+
+
+@settings(deadline=None, max_examples=60)
+@given(g=odd_named_graphs(), seed=st.integers(0, 2**32 - 1))
+def test_rep_json_text_is_json_dumps_of_the_payload_on_odd_names(g, seed):
+    rng = random.Random(seed)
+    reps = [case[1] for case in _cases(rng, g, 1, 31)] + [_random_monomial(rng, g)[0]]
+    for u in gn.all_cycles(g, 3)[:1]:
+        # λ = −1 written with a negative zero part keeps it in ½·λ
+        reps += [gn.phi_cycle(g, u, lam) for lam in (-1.0, complex(-1, -0.0))]
+    for rep in reps:
+        assert gn.reps.rep_to_json_text(rep) == json.dumps(gn.rep_to_json(rep), sort_keys=True)

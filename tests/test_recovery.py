@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import graphnest as gn
-from conftest import loop_walk, make_graph, random_nonzero_element, two_loop_chain_text
+from conftest import (
+    loop_walk,
+    make_graph,
+    random_graph,
+    random_nonzero_element,
+    two_loop_chain_text,
+)
 from exact_oracle import (
     bfs_reachable,
     recover_irreducible_sampled,
@@ -318,6 +324,30 @@ def test_separate_errors(p2, c2):
         gn.separate(c2, le, "upper")
     with pytest.raises(ValueError):
         gn.separate(p2, lt.__class__.single(p2, p2.vertex_path("v")), "bogus")
+
+
+@settings(deadline=None, max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_each_family_separates_exactly_where_the_paper_says(seed):
+    # irreducible iff every edge lies on a cycle (transitive in components);
+    # upper iff every vertex on a cycle carries a loop; nest on every graph
+    rng = random.Random(seed)
+    g = random_graph(rng, max_vertices=6, max_edges=10)
+    a = random_nonzero_element(rng, g, max_terms=4, max_degree=4)
+    reach = {x: bfs_reachable(g, x) for x in g.vertices}
+    on_cycle = {e.source for e in g.edges if e.source in reach[e.target]}
+    available = {
+        "irreducible": all(e.source in reach[e.target] for e in g.edges),
+        "upper": on_cycle <= {e.source for e in g.edges if e.source == e.target},
+        "nest": True,
+    }
+    for family, separates in available.items():
+        if separates:
+            wit = gn.separate(g, a, family)
+            assert wit.value >= abs(wit.entry_value) > 0
+        else:
+            with pytest.raises(gn.PreconditionError):
+                gn.separate(g, a, family)
 
 
 # -- radical membership ----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Representation constructors: cycle, nest, triangular, Fock, and their checks."""
 
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -404,6 +405,31 @@ def test_relations_json_shape(p2):
     assert payload["contractive"] is True
 
 
+def test_relations_reject_a_negative_interior_index(p2):
+    # numpy indexing would wrap -1 to coordinate 6: "compressed to 1 of 7"
+    rep = gn.truncated_left_regular(p2, 2)
+    with pytest.raises(ValueError, match=r"index -1 is outside range\(7\)"):
+        gn.check_relations(rep, restrict_interior=[0, -1, -2])
+
+
+def test_relations_reject_an_interior_index_past_the_dimension(p2):
+    rep = gn.truncated_left_regular(p2, 2)
+    with pytest.raises(ValueError, match=r"index 7 is outside range\(7\)"):
+        gn.check_relations(rep, restrict_interior=[3, 7, 8])
+    with pytest.raises(ValueError, match="float64 values, not indices"):
+        gn.check_relations(rep, restrict_interior=[0, 2.5])
+
+
+def test_relations_count_distinct_interior_coordinates(p2):
+    rep = gn.truncated_left_regular(p2, 2)
+    report = gn.check_relations(rep, restrict_interior=[0, 0, 0])
+    assert report.restriction == "compressed to 1 of 7 coordinates"
+    assert report == gn.check_relations(rep, restrict_interior=[0])
+    assert gn.check_relations(rep, restrict_interior=[]).restriction == (
+        "compressed to 0 of 7 coordinates"
+    )
+
+
 # -- purity and coisometry -----------------------------------------------------------
 
 
@@ -434,32 +460,41 @@ def test_purity_defect_zero_edges():
     assert gn.purity_defect(rep, 3) == 0.0
 
 
-def test_purity_defect_path_cap(p2, monkeypatch):
-    # both loops act by a nonzero scalar, so the surviving-path count doubles
-    # with each level and must trip the cap
+def test_purity_defect_path_cap(p2):
+    # both loops act by a nonzero scalar, so every one of the 2^d paths
+    # survives: the diagonal power sums them all without walking them
     rep = gn.FiniteRepresentation(
         p2, 1,
         {"v": np.array([[1.0 + 0j]])},
         {"a": np.array([[0.5 + 0j]]), "b": np.array([[0.5 + 0j]])},
     )
-    monkeypatch.setattr(gn.reps, "MAX_DEFECT_PATHS", 100)
-    message = (
-        "purity walk at depth 7 keeps 128 surviving paths, "
-        "over the cap of 100 paths set by reps.MAX_DEFECT_PATHS"
-    )
-    with pytest.raises(gn.LimitError, match=message):
-        gn.purity_defect(rep, 30)
+    for d in (30, 17, 60):
+        assert gn.purity_defect(rep, d) == 2.0 ** -d
+    assert not hasattr(gn.reps, "MAX_DEFECT_PATHS")
 
 
-def test_purity_walk_drops_vanishing_paths(p2, monkeypatch):
-    # in a cycle representation each basis vector survives along one path,
-    # so the walk keeps 2 of the 2^d paths of length d
+def test_purity_walk_drops_vanishing_paths(p2):
+    # in a cycle representation each basis vector survives along one path
+    # of the 2^d paths of length d
     rep = gn.phi_cycle(p2, p2.path_from_traversal(["a", "b"]), unit_lambda(1, 5))
-    monkeypatch.setattr(gn.reps, "MAX_DEFECT_PATHS", 2)
     assert gn.purity_defect(rep, 12) == pytest.approx(4.0 ** -12, abs=1e-20)
-    monkeypatch.setattr(gn.reps, "MAX_DEFECT_PATHS", 1)
-    with pytest.raises(gn.LimitError):
-        gn.purity_defect(rep, 12)
+
+
+def test_purity_defect_of_deep_fock_is_one(p2):
+    # 4096 paths of length 12, each an isometry onto one basis vector: a walk
+    # over the paths would hold one 8191-wide array per path
+    rep = gn.truncated_left_regular(p2, 12)
+    start = time.perf_counter()
+    assert gn.purity_defect(rep, 12) == 1.0
+    assert gn.purity_defect(rep, 13) == 0.0
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("d", [0, -1, 2.5, 2.0, "3", None])
+def test_purity_defect_rejects_a_depth_that_is_not_a_positive_integer(p2, d):
+    rep = gn.phi_cycle(p2, p2.path_from_traversal(["a"]), 1.0)
+    with pytest.raises(ValueError, match="depth must be an integer ≥ 1"):
+        gn.purity_defect(rep, d)
 
 
 def test_is_coisometric(p2):
