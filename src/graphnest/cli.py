@@ -21,7 +21,9 @@ a kind that does not read it (``REP_FLAG_KINDS``) exits 2 with "--FLAG
 applies only to rep KINDS".  Relation verdicts use ``linalg.NORM_TOL``.
 
 Each command returns its JSON payload and a function rendering its text
-report; ``main`` writes one of the two to stdout.  A representation in a
+report; ``main`` writes one of the two to stdout.  ``rep --emit FILE``
+returns the JSON text it wrote to FILE instead, so with ``--json`` stdout
+is the same string, rendered once.  A representation in a
 payload is written from its storage by ``reps.rep_to_json_text``, byte for
 byte the json.dumps text of ``rep_to_json``, every image a dense matrix;
 the text report writes none.  ``--json`` and ``--emit FILE`` write
@@ -183,9 +185,9 @@ def _dump_json(obj: dict) -> str:
     return "{" + ", ".join(items) + "}\n"
 
 
-def _write_emit(path: str, obj: dict) -> None:
+def _write_emit(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dump_json(obj))
+        fh.write(text)
 
 
 def _yesno(flag: bool) -> str:
@@ -246,7 +248,7 @@ def _cmd_separate(args: argparse.Namespace):
     if args.emit:
         _write_emit(
             args.emit,
-            {"graph": graph_to_json(g), "representation": witness.representation},
+            _dump_json({"graph": graph_to_json(g), "representation": witness.representation}),
         )
 
     def text() -> list[str]:
@@ -332,6 +334,7 @@ def _cmd_rep(args: argparse.Namespace):
         "relations": relations.to_json(),
     }
     if args.emit:
+        payload = _dump_json(payload)
         _write_emit(args.emit, payload)
 
     def text() -> list[str]:
@@ -453,7 +456,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         payload, text = args.func(args)
-        sys.stdout.write(_dump_json(payload) if args.json else "\n".join(text()) + "\n")
+        if args.json and not isinstance(payload, str):
+            payload = _dump_json(payload)
+        sys.stdout.write(payload if args.json else "\n".join(text()) + "\n")
     except tuple(cls for cls, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))

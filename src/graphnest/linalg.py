@@ -1,15 +1,19 @@
-"""Dense complex matrix helpers and the span-closure engine.
+"""Complex matrix helpers and the span-closure engine.
 
-Matrices are numpy ``complex128`` arrays throughout, and norms and ranks
-go through direct SVDs.  Representations are stored as weighted partial
-maps (``reps``); these helpers serve the dense matrices read from them.
+The helpers take and return numpy ``complex128`` matrices, and norms and
+ranks go through direct SVDs.  Representations are stored as weighted
+partial maps (``reps``); these helpers serve the dense matrices read from
+them.
 
 ``span_closure_dim`` computes the linear dimension of the (non-unital)
 algebra generated by a finite set S of k×k matrices — the workhorse behind
-the irreducibility and nest-density certificates.  It closes span(S) under
-left multiplication by an orthonormal basis of span(S), which needs
-dim·|S| products rather than dim².  Generator sets whose singular values
-span more than 1/``RANK_TOL`` get tolerance-dependent ranks.
+the irreducibility and nest-density certificates.  When every generator is
+a weighted partial map, as every representation the package builds is, it
+closes the words in S as (row, column, weight) lists against a pivot table
+by coordinate, with no SVD and no dense product.  Any other set is closed
+under left multiplication by an orthonormal basis of span(S), which needs
+dim·|S| products rather than dim²; such sets whose singular values span
+more than 1/``RANK_TOL`` get tolerance-dependent ranks.
 
 The two tolerances are fixed.  The package's representations send each
 basis vector to ½ or 1 times another, so a relation residual is an exact
@@ -21,7 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Rank threshold, relative to the largest singular value.
+#: Rank threshold, relative to the largest singular value (to the largest
+#: entry, for a word of weighted partial maps).
 RANK_TOL = 1e-9
 
 #: Residual norms up to this are treated as zero.
@@ -79,33 +84,90 @@ def _orthonormal_rows(stack: np.ndarray) -> np.ndarray:
     return vh[:r]
 
 
-def span_closure_dim(gens, dim: int):
-    """Dimension of the smallest multiplicatively closed subspace of k×k
-    matrices containing ``gens`` (the non-unital generated algebra), plus an
-    orthonormal basis of it.
+def _partial_maps(stack: np.ndarray):
+    """A (g, k, k) stack as weighted partial maps, when no column of any
+    generator holds two nonzeros: generator i sends column j to
+    weights[i, j]·(row rows[i, j]), and weights[i, j] = 0 marks a zero
+    column.  Returns None for any other stack."""
+    nonzero = stack != 0
+    if np.any(np.count_nonzero(nonzero, axis=1) > 1):
+        return None
+    # the one nonzero of each column, or 0
+    return nonzero.argmax(axis=1), stack.sum(axis=1)
 
-    The generated algebra A of S satisfies A = span(S) + S·A, so it is the
-    smallest subspace containing span(S) and closed under left
-    multiplication by an orthonormal basis B₀ of span(S).  Each round
-    multiplies only the directions new since the last round by B₀, keeps
-    the residual directions off the basis with singular value above
-    ``RANK_TOL`` (B₀ and the basis are orthonormal, so the products are
-    scale-free), and re-orthonormalizes them: r·|B₀| products for a
-    dimension-r algebra, capped at k².  When the singular values of the
-    generators span more than 1/``RANK_TOL``, the rank decisions, and so the
-    dimension, depend on the tolerance.
-    """
-    k = int(dim)
-    if k <= 0:
-        raise ValueError("dim must be positive")
-    mats = []
-    for m in gens:
-        a = as_matrix(m)
-        if a.shape != (k, k):
-            raise ValueError(f"generator has shape {a.shape}, expected ({k}, {k})")
-        mats.append(a)
-    if not mats:
+
+def _monomial_closure(rows: np.ndarray, weights: np.ndarray, k: int):
+    """The generated algebra of weighted partial maps (``_partial_maps``),
+    spanned by their words, each a weighted partial map itself.
+
+    Each word kept is multiplied on the left by every generator with one
+    gather, as a list of (row, column, weight) entries.  A product is
+    reduced against a Gauss–Jordan table keyed by the coordinate r·k + c,
+    whose rows are 1 at their own pivot and 0 at every other, and kept when
+    its residual has an entry above ``RANK_TOL`` times the product's largest
+    entry; that entry becomes a new pivot, so at most k² words are kept.
+    Generators are rescaled to largest entry 1, so a long word can neither
+    overflow nor, from a generator's scale alone, underflow."""
+    full = k * k
+    table: dict[int, dict[int, complex]] = {}  # pivot -> its row off the pivot
+    holders: dict[int, set[int]] = {}  # coordinate -> pivots whose row holds it
+    scale = np.abs(weights).max(axis=1)
+    live = scale > 0
+    gens = list(zip(rows[live].tolist(), (weights[live] / scale[live, None]).tolist()))
+    kept: list[list[tuple[int, int, complex]]] = []
+
+    def candidates():
+        for g_rows, g_weights in gens:
+            yield [(r, c, w) for c, (r, w) in enumerate(zip(g_rows, g_weights)) if w]
+        for word in kept:  # a queue: the loop below appends to it
+            for g_rows, g_weights in gens:
+                yield [(g_rows[r], c, g_weights[r] * w) for r, c, w in word if g_weights[r]]
+
+    for word in candidates():
+        res: dict[int, complex] = {}
+        for r, c, x in word:
+            p = r * k + c
+            row = table.get(p)
+            if row is None:
+                res[p] = res.get(p, 0j) + x
+            else:
+                for q, y in row.items():
+                    res[q] = res.get(q, 0j) - x * y
+        if not res:
+            continue
+        pivot, top = max(res.items(), key=lambda item: abs(item[1]))
+        largest = max(abs(w) for _, _, w in word)
+        if abs(top) <= RANK_TOL * largest:
+            continue
+        del res[pivot]
+        row = {c: y / top for c, y in res.items() if y}
+        for q in holders.pop(pivot, ()):
+            other = table[q]
+            f = other.pop(pivot)
+            for c, y in row.items():
+                if c not in other:
+                    other[c] = 0j
+                    holders.setdefault(c, set()).add(q)
+                other[c] -= f * y
+        for c in row:
+            holders.setdefault(c, set()).add(pivot)
+        table[pivot] = row
+        if len(table) == full:
+            return full, list(np.eye(full, dtype=np.complex128).reshape(full, k, k))
+        kept.append(word)
+    if not table:
         return 0, []
+    reduced = np.zeros((len(table), full), dtype=np.complex128)
+    for i, (pivot, row) in enumerate(table.items()):
+        reduced[i, pivot] = 1.0
+        reduced[i, list(row)] = list(row.values())
+    basis = np.linalg.qr(reduced.T)[0].T
+    return len(basis), list(basis.reshape(-1, k, k))
+
+
+def _dense_closure(mats, k: int):
+    """The generated algebra of any k×k matrices, by orthonormal rounds (see
+    ``span_closure_dim``)."""
     basis = _orthonormal_rows(np.array([m.reshape(-1) for m in mats]))
     full = k * k
     gens0 = new = basis.reshape(-1, k, k)
@@ -121,6 +183,46 @@ def span_closure_dim(gens, dim: int):
         basis = np.vstack([basis, fresh])
         new = fresh.reshape(-1, k, k)
     return basis.shape[0], [row.reshape(k, k) for row in basis]
+
+
+def span_closure_dim(gens, dim: int):
+    """Dimension of the smallest multiplicatively closed subspace of k×k
+    matrices containing ``gens`` (the non-unital generated algebra), plus an
+    orthonormal basis of it.
+
+    The generated algebra A of S satisfies A = span(S) + S·A.  When every
+    generator is a weighted partial map (at most one nonzero per column),
+    A is spanned by the words in S, which are weighted partial maps too:
+    the words are closed under left multiplication by S and reduced against
+    a pivot table by coordinate (``_monomial_closure``), with no SVD.  Each
+    rank decision is relative to one product's largest entry, so no
+    generator's scale changes the dimension.  The basis is the k² matrix
+    units when A is all of M_k, else one QR of the reduced pivot rows.
+
+    Any other set is closed under left multiplication by an orthonormal
+    basis B₀ of span(S).  Each round multiplies only the directions new
+    since the last round by B₀, keeps the residual directions off the basis
+    with singular value above ``RANK_TOL`` (B₀ and the basis are
+    orthonormal, so the products are scale-free), and re-orthonormalizes
+    them: r·|B₀| products for a dimension-r algebra, capped at k².  When the
+    singular values of the generators span more than 1/``RANK_TOL``, the
+    rank decisions, and so the dimension, depend on the tolerance.
+    """
+    k = int(dim)
+    if k <= 0:
+        raise ValueError("dim must be positive")
+    mats = []
+    for m in gens:
+        a = as_matrix(m)
+        if a.shape != (k, k):
+            raise ValueError(f"generator has shape {a.shape}, expected ({k}, {k})")
+        mats.append(a)
+    if not mats:
+        return 0, []
+    maps = _partial_maps(np.array(mats))
+    if maps is not None:
+        return _monomial_closure(*maps, k)
+    return _dense_closure(mats, k)
 
 
 def is_orthogonal_projection(m) -> bool:

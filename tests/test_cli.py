@@ -516,6 +516,21 @@ def test_representation_json_is_the_dense_encoding_byte_for_byte(
         assert stdout == expected
 
 
+@pytest.mark.parametrize("case", ["rep-fock", "rep-phi"])
+def test_rep_json_with_emit_renders_the_representation_once(case, tmp_path, capsysbinary, monkeypatch):
+    calls = []
+
+    def counted(rep):
+        calls.append(rep)
+        return gn.reps.rep_to_json_text(rep)
+
+    monkeypatch.setattr(cli, "rep_to_json_text", counted)
+    out = tmp_path / "out.json"
+    assert cli.main([*JSON_CASES[case][0], "--json", "--emit", str(out)]) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
+    assert len(calls) == 1
+
+
 # -- text output, in process ---------------------------------------------------------
 
 _REP_HINT = "(use --json or --emit FILE for the full matrix data)\n"

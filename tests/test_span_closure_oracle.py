@@ -9,6 +9,12 @@ and on every representation of the graph corpus, the two must return the
 same dimension and the same span.  The returned basis must be orthonormal
 and closed under products, the dimension must not move when the generators
 are scaled by 1e-10 or 1e10, and for k ≤ 3 it must equal the exact count.
+
+Sets of weighted partial maps take the monomial closure; the dense loop,
+``linalg._dense_closure``, is its reference on random partial maps (each
+set at one common scale and with every generator at its own scale
+10^±8), on long words whose raw weights fall near ``RANK_TOL`` and on
+cycle representations of length 16.
 """
 
 import random
@@ -204,3 +210,130 @@ def test_mixed_scale_projections_show_a_tolerance_dependent_rank():
     assert s[-1] < gn.linalg.RANK_TOL * s[0]
     assert gn.span_closure_dim(gens, 3)[0] == 5
     assert span_closure_dim_semi_naive(gens, 3)[0] == 9
+
+
+# -- the monomial path against the dense loop ----------------------------------------
+
+
+def _weighted_partial_map(rng, k, lam, modulus=0.5, density=0.7):
+    """Each column goes, with probability ``density``, to a distinct row with
+    weight modulus·λ^n for a random integer n."""
+    m = np.zeros((k, k), dtype=complex)
+    for col, row in enumerate(rng.permutation(k)):
+        if rng.random() < density:
+            m[row, col] = modulus * lam ** int(rng.integers(8))
+    return m
+
+
+def _long_word_set(rng, k, lam):
+    """A chain e_{π0} → … → e_{π(k-1)} and its closing edge, with a 0/1
+    diagonal sometimes.  Matrix units need words of up to 2k - 1 letters,
+    and the weights' modulus puts the raw weight of such a word within a
+    factor 10 of ``RANK_TOL``."""
+    modulus = 10.0 ** (rng.uniform(-10, -8) / (2 * k - 1))
+    order = rng.permutation(k)
+    chain, closing = np.zeros((k, k), dtype=complex), np.zeros((k, k), dtype=complex)
+    for src, dst in zip(order[:-1], order[1:]):
+        chain[dst, src] = modulus * lam ** int(rng.integers(8))
+    closing[order[0], order[-1]] = modulus * lam ** int(rng.integers(8))
+    gens = [chain, closing]
+    if rng.random() < 0.5:
+        gens.append(np.diag(rng.integers(0, 2, k)).astype(complex))
+    return gens
+
+
+def _partial_map_sets(count, seed):
+    """``count`` sets of 1–4 weighted partial maps (weights ½·λ^n) and 0/1
+    diagonals, k ≤ 10; every fourth set is a long-word set."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        k = int(rng.integers(2 if i % 4 == 0 else 1, 11))
+        lam = np.exp(2j * np.pi * rng.random())
+        if i % 4 == 0:
+            yield k, _long_word_set(rng, k, lam)
+            continue
+        gens = []
+        for _ in range(rng.integers(1, 5)):
+            if rng.random() < 0.25:
+                gens.append(np.diag(rng.integers(0, 2, k)).astype(complex))
+            else:
+                gens.append(_weighted_partial_map(rng, k, lam))
+        yield k, gens
+
+
+def _assert_matches_the_dense_loop(k, gens, want, want_basis, where):
+    assert gn.linalg._partial_maps(np.array(gens)) is not None, where
+    dim, basis = gn.span_closure_dim(gens, k)
+    assert dim == want == len(basis), where
+    assert np.abs(_projector(basis) - _projector(want_basis)).max() <= 1e-8, where
+    _assert_orthonormal_and_closed(k, basis)
+
+
+def test_monomial_closure_matches_the_dense_loop_on_partial_maps():
+    # The dense loop is scale-free only under one common scale; the words of
+    # partial maps span the same algebra whatever each generator's scale, so
+    # the mixed-scale sets are held to the dense loop's answer at one scale.
+    rng = np.random.default_rng(5)
+    for i, (k, gens) in enumerate(_partial_map_sets(300, 4)):
+        common = 10.0 ** rng.uniform(-6, 6)
+        want, want_basis = gn.linalg._dense_closure([common * m for m in gens], k)
+        mixed = 10.0 ** rng.uniform(-8, 8, len(gens))
+        for scales in (np.full(len(gens), common), mixed):
+            scaled = [s * m for s, m in zip(scales, gens)]
+            _assert_matches_the_dense_loop(k, scaled, want, want_basis, (i, k, scales))
+
+
+def _phi_generators(g, word):
+    rep = gn.phi_cycle(g, g.path_from_traversal(word), np.exp(0.3j))
+    return list(rep.vertex_images.values()) + list(rep.edge_images.values())
+
+
+def test_monomial_closure_matches_the_dense_loop_on_long_cycles(p2):
+    k = 16
+    words = [["a"] + ["b"] * 15, ["a"] * 7 + ["b"] * 9, ["a", "b"] * 8, (["a"] * 3 + ["b"]) * 4]
+    for word in words:
+        gens = _phi_generators(p2, word)
+        dim, basis = gn.linalg._dense_closure(gens, k)
+        _assert_matches_the_dense_loop(k, gens, dim, basis, word)
+        primitive = gn.primitive_root(p2.path_from_traversal(word))[0].length == k
+        assert (dim == k * k) == primitive, word
+    # words of up to 63 letters: unnormalized, (½·1e-10)^63 underflows to 0
+    gens = _phi_generators(p2, ["a"] + ["b"] * 31)
+    for scale in (1.0, 1e-10, 1e10):
+        assert gn.span_closure_dim([scale * m for m in gens], 32)[0] == 32 * 32, scale
+
+
+def test_monomial_rank_decisions_are_relative_to_each_word():
+    # g = E₁₀ + εE₂₁ with ε = 2⁻⁴⁰ generates span{g, εE₂₀}.  The word g²
+    # has largest entry ε, below RANK_TOL: measured against itself it is
+    # kept, as the exact count says; the dense loop's rounds measure it
+    # against the orthonormal g and drop it.
+    g = np.zeros((3, 3), dtype=complex)
+    g[1, 0], g[2, 1] = 1.0, 2.0 ** -40
+    for gens, want in (([g], 2), ([g, np.diag([0.0, 1.0, 0.0])], 4)):
+        exact = [[[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in m] for m in gens]
+        assert gn.span_closure_dim(gens, 3)[0] == span_closure_dim_exact(exact) == want
+        assert gn.linalg._dense_closure([gn.linalg.as_matrix(m) for m in gens], 3)[0] == want // 2
+
+
+def test_inputs_outside_the_monomial_path_behave_as_before(monkeypatch):
+    rng = np.random.default_rng(8)
+    k = 4
+    partial = [_weighted_partial_map(rng, k, 1j) for _ in range(2)]
+    with_nan = partial[0].copy()
+    with_nan[with_nan != 0] = np.nan
+    with pytest.raises(ValueError, match="matrix has non-finite entries"):
+        gn.span_closure_dim(partial + [with_nan], k)
+    with pytest.raises(ValueError, match=r"generator has shape \(3, 3\), expected \(4, 4\)"):
+        gn.span_closure_dim(partial + [np.eye(3)], k)
+
+    def no_monomial_closure(*args):
+        raise AssertionError("a dense generator took the monomial path")
+
+    monkeypatch.setattr(gn.linalg, "_monomial_closure", no_monomial_closure)
+    for dense in (_generator(rng, "dense", k), _generator(rng, "conjugated_diagonal", k)):
+        gens = partial + [dense]
+        dim, basis = gn.span_closure_dim(gens, k)
+        want, want_basis = span_closure_dim_semi_naive(gens, k)
+        assert dim == want
+        assert np.abs(_projector(basis) - _projector(want_basis)).max() <= 1e-8
